@@ -7,14 +7,14 @@ Monte Carlo evaluators, ratio sweeps, audits), ``families`` (worst-case
 instance generators), and ``cli`` (the command-line harness).
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     DiscreteDistribution,
     Instance,
     Order,
     ValidationError,
-    ValidationReport,
     ValueProfile,
-    Violation,
     draw_profile,
     load_instance,
     load_order,
@@ -55,7 +55,6 @@ from .families import (
 )
 from .policies import (
     DecisionContext,
-    FunctionPolicy,
     GoldenPolicy,
     MaxProbPolicy,
     OptExpectationPolicy,
@@ -83,5 +82,10 @@ from .thresholds import (
     threshold_triple,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing the names above also binds the submodules (``core``, ...) here;
+# they stay importable as attributes but are not part of the star-export.
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ from .core import (
     load_order,
     save_instance,
     save_order,
-    validate_order,
 )
 from .evaluation import (
     DEFAULT_PERM_CAP,
@@ -99,7 +98,6 @@ def cmd_constants(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     order = _parse_order(args.order)
-    validate_order(instance, order).raise_if_invalid()
     objective = Objective.parse(args.obj)
     policy = make_policy(args.policy, instance, order)
     if args.mc:
@@ -118,17 +116,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     objective = Objective.parse(args.obj)
     policy = make_policy(args.policy, instance)
     orders = _parse_orders(args.orders) if args.orders else None
-    if orders:
-        for order in orders:
-            validate_order(instance, order).raise_if_invalid()
-    report = order_ratio_sweep(
-        instance,
-        policy,
-        objective,
-        opt_kind=args.opt,
-        orders=orders,
-        perm_cap=args.perm_cap,
-    )
+    report = order_ratio_sweep(instance, policy, objective, orders=orders, perm_cap=args.perm_cap)
     if args.format == "csv":
         _emit(report.to_csv())
     else:
@@ -263,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratio.add_argument("-i", "--instance", required=True)
     p_ratio.add_argument("-p", "--policy", required=True)
     p_ratio.add_argument("--obj", required=True)
-    p_ratio.add_argument("--opt", choices=("opt-exp", "opt-maxprob"), default=None,
-                         help="benchmark kind (default: inferred from the objective)")
     p_ratio.add_argument("--orders", default=None,
                          help='semicolon-separated id lists, or a JSON path {"orders": [...]}')
     p_ratio.add_argument("--perm-cap", type=int, default=DEFAULT_PERM_CAP)

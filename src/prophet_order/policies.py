@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .core import Instance, Order, ValidationError, validate_instance, validate_order
+from .core import DiscreteDistribution, Instance, Order, ValidationError, validate_instance, validate_order
 from .thresholds import (
     LAMBDA,
     ThresholdTriple,
     classic_thresholds,
     suffix_max,
     threshold_triple,
+    win_factors,
 )
 
 
@@ -130,19 +131,27 @@ def opt_expectation_thresholds(instance: Instance, order: Order) -> list[float]:
     tau*[t] is the expected value of optimal play on positions t+1..n, so the
     box at position t is accepted iff its value >= tau*[t]; tau*[n] = 0.
     """
-    validate_order(instance, order).raise_if_invalid()
+    validate_order(instance, order)
     n = instance.n
     taus = [0.0] * n
     cont = 0.0  # optimal continuation value from position t+1 onward
     for t in range(n - 1, 0, -1):
-        box = instance.box(order.sequence[t])
-        cont = math.fsum(p * (v if v >= cont else cont) for v, p in box.outcomes)
+        cont = _step_back(instance.box(order.sequence[t]), cont)
         taus[t - 1] = cont
     return taus
 
 
+def _step_back(box: DiscreteDistribution, cont: float) -> float:
+    """Value of optimal play from ``box`` on, given continuation value ``cont`` after it."""
+    return math.fsum(p * (v if v >= cont else cont) for v, p in box.outcomes)
+
+
 class OptExpectationPolicy(Policy):
-    """The optimal order-aware rule for maximizing the expected accepted value."""
+    """The optimal order-aware rule for maximizing the expected accepted value.
+
+    ``value`` is the backward induction carried one step further, to the first
+    box: the expected accepted value of optimal play on the whole order.
+    """
 
     kind = "opt-exp"
     order_aware = True
@@ -152,6 +161,7 @@ class OptExpectationPolicy(Policy):
         self.instance = instance
         self.order = order
         self.thresholds = opt_expectation_thresholds(instance, order)
+        self.value = _step_back(instance.box(order.sequence[0]), self.thresholds[0])
 
     def decide(self, ctx: DecisionContext) -> bool:
         return ctx.current_value >= self.thresholds[ctx.position - 1]
@@ -177,8 +187,8 @@ class OptMaxProbPolicy(Policy):
     def __init__(self, instance: Instance, order: Order, baseline: float = 0.0):
         if not math.isfinite(baseline) or baseline < 0.0:
             raise ValueError(f"baseline must be finite and >= 0, got {baseline!r}")
-        validate_instance(instance, require_unique_max=True).raise_if_invalid()
-        validate_order(instance, order).raise_if_invalid()
+        validate_instance(instance)
+        validate_order(instance, order)
         self.instance = instance
         self.order = order
         self.baseline = baseline
@@ -187,14 +197,7 @@ class OptMaxProbPolicy(Policy):
         seq = order.sequence
         grid = sorted({baseline} | {v for d in instance.distributions for v in d.values})
         self._grid = grid
-        # win_factor[t][v] = P[every box after position t stays strictly below v]
-        win_factor: list[dict[float, float]] = [dict() for _ in range(n + 1)]
-        win_factor[n] = {v: 1.0 for v in grid}
-        for t in range(n - 1, 0, -1):
-            box = instance.box(seq[t])
-            nxt = win_factor[t + 1]
-            win_factor[t] = {v: nxt[v] * box.prob_below(v, strict=True) for v in grid}
-        self._win_factor = win_factor
+        self._win_factor = win_factor = win_factors(instance, order, grid)
 
         # value_table[t] maps prefix max -> win probability of optimal play at
         # positions t..n; row n+1 is identically 0.
@@ -242,19 +245,6 @@ class SingleThresholdPolicy(Policy):
 
     def decide(self, ctx: DecisionContext) -> bool:
         return ctx.current_value >= self.threshold
-
-
-class FunctionPolicy(Policy):
-    """Wrap an arbitrary decision function (used for custom rules in tests)."""
-
-    def __init__(self, fn: Callable[[DecisionContext], bool], kind: str = "custom",
-                 uses_prefix_max: bool = True):
-        self._fn = fn
-        self.kind = kind
-        self.uses_prefix_max = uses_prefix_max
-
-    def decide(self, ctx: DecisionContext) -> bool:
-        return self._fn(ctx)
 
 
 def make_policy(spec: str, instance: Instance, order: Order | None = None) -> Policy:

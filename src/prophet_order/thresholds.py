@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .core import DiscreteDistribution, Instance
+from .core import DiscreteDistribution, Instance, Order
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -105,13 +105,29 @@ class SuffixMaxDistribution:
     def expectation(self) -> float:
         return self._expectation
 
-    def as_distribution(self) -> DiscreteDistribution:
-        return DiscreteDistribution(self.outcomes)
-
 
 def suffix_max(dists: Iterable[DiscreteDistribution]) -> SuffixMaxDistribution:
     """Law of the max over the given boxes; an empty iterable is allowed."""
     return SuffixMaxDistribution(dists)
+
+
+def win_factors(instance: Instance, order: Order, values: Iterable[float]) -> list[dict[float, float]]:
+    """factors[t][v] = P[every box after position t realizes strictly below v].
+
+    Positions are 1-based; row n is 1 everywhere and row 0 is left empty. Each
+    row is the next row times one box's strict CDF, built from the back. Keep
+    that multiplication order: ``families.maxprob_lb`` tunes its
+    probabilities so that exactly this product lands on lambda.
+    """
+    vals = sorted(set(values))
+    n = instance.n
+    factors: list[dict[float, float]] = [dict() for _ in range(n + 1)]
+    factors[n] = {v: 1.0 for v in vals}
+    for t in range(n - 1, 0, -1):
+        box = instance.box(order.sequence[t])
+        nxt = factors[t + 1]
+        factors[t] = {v: nxt[v] * box.prob_below(v, strict=True) for v in vals}
+    return factors
 
 
 def expected_surplus(dist: SuffixMaxDistribution, c: float) -> float:

@@ -10,11 +10,25 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from typing import Callable
 
-from prophet_order import Instance, Order, SuffixMaxDistribution, suffix_max
+from prophet_order import DecisionContext, Instance, Order, Policy, SuffixMaxDistribution, suffix_max
 
 GUARANTEE_CORPUS_SEED = 0x5EED_0001
 ORACLE_CORPUS_SEED = 0x5EED_0002
+
+
+class FunctionPolicy(Policy):
+    """Wrap an arbitrary decision function, for custom rules in tests."""
+
+    def __init__(self, fn: Callable[[DecisionContext], bool], kind: str = "custom",
+                 uses_prefix_max: bool = True):
+        self._fn = fn
+        self.kind = kind
+        self.uses_prefix_max = uses_prefix_max
+
+    def decide(self, ctx: DecisionContext) -> bool:
+        return self._fn(ctx)
 
 
 def random_instance(

@@ -101,6 +101,28 @@ class TestEvaluate:
         assert code == 2
         assert "sum" in err
 
+    @pytest.mark.parametrize("data", [{"boxes": [1]}, {"boxes": [{"support": [[1]]}]}])
+    def test_malformed_instance_json_exits_2(self, capsys, tmp_path, data):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(
+            capsys,
+            ["evaluate", "-i", str(path), "-o", "0", "-p", "golden", "--obj", "expectation"],
+        )
+        assert code == 2
+        assert "instance JSON must be" in err
+
+    @pytest.mark.parametrize("obj", ["winprob:nan", "winprob:-1", "winprob:inf"])
+    def test_bad_baseline_exits_2(self, capsys, tmp_path, obj):
+        # with a nan baseline eval_exact gave 0.0 here while brute_force gave 1.0
+        path = tmp_path / "one.json"
+        save_instance(Instance.from_supports([[(0.0, 0.5), (2.0, 0.5)]]), str(path))
+        code, _, err = run(
+            capsys, ["evaluate", "-i", str(path), "-o", "0", "-p", "golden", "--obj", obj]
+        )
+        assert code == 2
+        assert "baseline" in err
+
     def test_bad_order_exits_2(self, capsys, classic2):
         code, _, err = run(
             capsys,
@@ -147,6 +169,14 @@ class TestRatio:
         data = json.loads(out)
         assert len(data["per_order"]) == 1
         assert data["per_order"][0]["order"] == [0, 1]
+
+    def test_bad_order_in_list_exits_2(self, capsys, classic2):
+        code, _, err = run(
+            capsys,
+            ["ratio", "-i", classic2, "-p", "golden", "--obj", "expectation", "--orders", "0,1;0,0"],
+        )
+        assert code == 2
+        assert "permutation" in err
 
     def test_repeated_sweeps_byte_identical(self, capsys, classic2):
         argv = ["ratio", "-i", classic2, "-p", "maxprob", "--obj", "winprob"]
@@ -206,10 +236,9 @@ class TestReproduce:
         )
         assert code == 0
         inst = load_instance(str(outdir / "instance.json"))
-        assert validate_instance(inst, require_unique_max=True).ok
+        validate_instance(inst)
         for name in ("order_a", "order_b"):
-            order = load_order(str(outdir / f"{name}.json"))
-            assert validate_order(inst, order).ok
+            validate_order(inst, load_order(str(outdir / f"{name}.json")))
 
     def test_unknown_family_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,9 +1,11 @@
 import json
 import math
 import random
+import types
 
 import pytest
 
+import prophet_order
 from prophet_order import (
     DiscreteDistribution,
     Instance,
@@ -104,51 +106,67 @@ class TestExpectationAndCdf:
 class TestValidation:
     def test_single_point_mass_valid(self):
         inst = Instance.from_supports([[(1.0, 1.0)]])
-        assert validate_instance(inst).ok
+        validate_instance(inst)
+        assert inst.box(0) == DiscreteDistribution.point(1.0)
 
     def test_bad_probability_sum_reported(self):
-        bad = Instance((DiscreteDistribution(((1.0, 0.5), (2.0, 0.6))),))
-        report = validate_instance(bad)
-        assert not report.ok
-        assert any(v.kind == "prob_sum" and v.box_ids == (0,) for v in report.violations)
-        assert any("1.1" in v.message for v in report.violations)
+        with pytest.raises(ValidationError, match="sum to 1.1"):
+            DiscreteDistribution(((1.0, 0.5), (2.0, 0.6)))
 
     def test_duplicate_value_reported(self):
-        bad = Instance((DiscreteDistribution(((1.0, 0.5), (1.0, 0.5))),))
-        report = validate_instance(bad)
-        assert any(v.kind == "value_order" for v in report.violations)
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            DiscreteDistribution(((1.0, 0.5), (1.0, 0.5)))
 
     def test_unsorted_values_reported(self):
-        bad = Instance((DiscreteDistribution(((2.0, 0.5), (1.0, 0.5))),))
-        report = validate_instance(bad)
-        assert any(v.kind == "value_order" for v in report.violations)
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            DiscreteDistribution(((2.0, 0.5), (1.0, 0.5)))
+
+    @pytest.mark.parametrize(
+        "outcomes, message",
+        [
+            ((), "at least one outcome"),
+            (((math.nan, 1.0),), "finite non-negative"),
+            (((math.inf, 1.0),), "finite non-negative"),
+            (((-1.0, 1.0),), "finite non-negative"),
+            (((1.0, 0.0), (2.0, 1.0)), "outside"),
+            (((1.0, 1.5),), "outside"),
+            (((1.0, math.nan),), "outside"),
+            (((1.0, 0.25), (2.0, 0.25)), "sum to"),
+        ],
+    )
+    def test_bare_constructor_checks_every_invariant(self, outcomes, message):
+        with pytest.raises(ValidationError, match=message):
+            DiscreteDistribution(outcomes)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+    def test_point_rejects_bad_value(self, value):
+        with pytest.raises(ValidationError, match="finite non-negative"):
+            DiscreteDistribution.point(value)
+
+    def test_empty_instance_rejected(self):
+        with pytest.raises(ValidationError, match="at least one box"):
+            Instance(())
+        with pytest.raises(ValidationError, match="at least one box"):
+            Instance.from_supports([])
 
     def test_shared_positive_value_rejected_under_unique_max(self):
         inst = Instance.from_supports([[(1.0, 1.0)], [(1.0, 0.5), (2.0, 0.5)]])
-        assert validate_instance(inst).ok
-        report = validate_instance(inst, require_unique_max=True)
-        assert not report.ok
-        (violation,) = [v for v in report.violations if v.kind == "shared_value"]
-        assert violation.box_ids == (0, 1)
+        with pytest.raises(ValidationError, match="value 1.0 appears in boxes 0 and 1"):
+            validate_instance(inst)
 
     def test_shared_zero_allowed_under_unique_max(self):
         # zero stands for an empty box and can never be the caught maximum
         inst = Instance.from_supports(
             [[(0.0, 0.5), (1.0, 0.5)], [(0.0, 0.5), (2.0, 0.5)]]
         )
-        assert validate_instance(inst, require_unique_max=True).ok
-
-    def test_raise_if_invalid(self):
-        bad = Instance((DiscreteDistribution(((1.0, 0.5), (2.0, 0.6))),))
-        with pytest.raises(ValidationError):
-            validate_instance(bad).raise_if_invalid()
+        validate_instance(inst)
 
     def test_order_must_be_permutation(self):
         inst = Instance.from_supports([[(1.0, 1.0)], [(2.0, 1.0)]])
-        assert validate_order(inst, Order((1, 0))).ok
-        assert not validate_order(inst, Order((0, 0))).ok
-        assert not validate_order(inst, Order((0,))).ok
-        assert not validate_order(inst, Order((0, 1, 2))).ok
+        validate_order(inst, Order((1, 0)))
+        for seq in ((0, 0), (0,), (0, 1, 2)):
+            with pytest.raises(ValidationError, match="not a permutation"):
+                validate_order(inst, Order(seq))
 
 
 class TestSampling:
@@ -203,6 +221,22 @@ class TestJsonRoundTrip:
         with pytest.raises(ValidationError):
             load_instance(str(path))
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"boxes": [1]},
+            {"boxes": [{"support": [[1]]}]},
+            {"boxes": [{"support": [[None, 1.0]]}]},
+            {"boxes": [{"support": [["x", 1.0]]}]},
+            {"boxes": [{"values": [[1.0, 1.0]]}]},
+            {"boxes": 3},
+            [],
+        ],
+    )
+    def test_from_json_dict_rejects_malformed_boxes(self, data):
+        with pytest.raises(ValidationError, match="instance JSON must be"):
+            Instance.from_json_dict(data)
+
     def test_loader_rejects_bad_sum(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"boxes": [{"support": [[1.0, 0.5], [2.0, 0.6]]}]}))
@@ -213,3 +247,11 @@ class TestJsonRoundTrip:
         assert Order.from_string("0, 2,1").sequence == (0, 2, 1)
         with pytest.raises(ValidationError):
             Order.from_string("0,x")
+
+
+class TestPackageExports:
+    def test_all_lists_names_not_submodules(self):
+        exported = prophet_order.__all__
+        assert not [n for n in exported if isinstance(getattr(prophet_order, n), types.ModuleType)]
+        assert {"core", "evaluation", "families", "policies", "thresholds"}.isdisjoint(exported)
+        assert {"Instance", "ValidationError", "eval_exact", "order_ratio_sweep"} <= set(exported)

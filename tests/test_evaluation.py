@@ -7,7 +7,6 @@ import pytest
 from prophet_order import (
     PHI,
     CapExceededError,
-    FunctionPolicy,
     GoldenPolicy,
     Instance,
     MaxProbPolicy,
@@ -25,7 +24,8 @@ from prophet_order import (
     example1,
     make_policy,
 )
-from tests.helpers import oracle_corpus, random_instance, random_order
+from prophet_order import evaluation
+from tests.helpers import FunctionPolicy, oracle_corpus, random_instance, random_order
 
 
 def classic_two_box(eps):
@@ -51,6 +51,13 @@ class TestObjective:
         assert Objective.parse("winprob:0.5") == Objective.winprob(0.5)
         with pytest.raises(ValidationError):
             Objective.parse("entropy")
+
+    @pytest.mark.parametrize("baseline", [math.nan, math.inf, -1.0])
+    def test_baseline_checked_at_construction(self, baseline):
+        with pytest.raises(ValidationError, match="baseline"):
+            Objective.winprob(baseline)
+        with pytest.raises(ValidationError, match="baseline"):
+            Objective.parse(f"winprob:{baseline}")
 
     def test_winprob_requires_unique_max(self):
         inst = Instance.from_supports([[(1.0, 1.0)], [(1.0, 0.5), (2.0, 0.5)]])
@@ -236,12 +243,24 @@ class TestOrderRatioSweep:
                 inst, GoldenPolicy(inst), Objective.expectation(), perm_cap=3
             )
 
-    def test_explicit_benchmark_kind(self):
-        inst = Instance.from_supports([[(1.0, 1.0)], [(0.0, 0.5), (2.0, 0.5)]])
-        rep = order_ratio_sweep(
-            inst, GoldenPolicy(inst), Objective.expectation(), opt_kind="opt-exp"
-        )
-        assert all(row.opt > 0 for row in rep.per_order)
+    def test_evaluates_only_the_policy(self, monkeypatch):
+        # the optimum comes from the benchmark's own DP, not from eval_exact
+        inst = Instance.from_supports([[(1.0, 1.0)], [(0.0, 0.5), (2.0, 0.5)], [(0.5, 0.5), (3.0, 0.5)]])
+        evaluated = []
+        original = evaluation.eval_exact
+
+        def counting(instance, order, policy, objective, **kwargs):
+            evaluated.append(policy)
+            return original(instance, order, policy, objective, **kwargs)
+
+        monkeypatch.setattr(evaluation, "eval_exact", counting)
+        for policy, objective in ((GoldenPolicy(inst), Objective.expectation()),
+                                  (MaxProbPolicy(inst), Objective.winprob())):
+            evaluated.clear()
+            rep = order_ratio_sweep(inst, policy, objective)
+            assert len(rep.per_order) == 6
+            assert evaluated == [policy] * 6
+            assert all(row.opt > 0 for row in rep.per_order)
 
     def test_report_serialization(self):
         inst = Instance.from_supports([[(1.0, 1.0)], [(2.0, 1.0)]])

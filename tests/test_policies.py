@@ -194,6 +194,9 @@ class TestOptMaxProb:
             pol = OptMaxProbPolicy(inst, order, baseline=0.0)
             value = eval_exact(inst, order, pol, Objective.winprob(0.0)).value
             assert value == pytest.approx(pol.win_probability, abs=1e-12)
+            exp_pol = OptExpectationPolicy(inst, order)
+            value = eval_exact(inst, order, exp_pol, Objective.expectation()).value
+            assert value == pytest.approx(exp_pol.value, abs=1e-12)
 
     def test_prefix_values_off_the_grid_are_handled(self):
         # evaluating under a foreign baseline puts prefix maxima between grid
