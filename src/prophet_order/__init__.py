@@ -65,13 +65,10 @@ from .policies import (
     opt_expectation_thresholds,
 )
 from .thresholds import (
-    CONSTANTS,
     LAMBDA,
     LN_INV_LAMBDA,
     PHI,
     ClassicThresholds,
-    Constants,
-    SuffixMaxDistribution,
     ThresholdTriple,
     classic_thresholds,
     expected_surplus,

@@ -99,7 +99,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     order = _parse_order(args.order)
     objective = Objective.parse(args.obj)
-    policy = make_policy(args.policy, instance, order)
+    policy = make_policy(args.policy, instance, order, baseline=objective.baseline)
     if args.mc:
         result = monte_carlo(instance, order, policy, objective, samples=args.mc, seed=args.seed)
     else:
@@ -114,7 +114,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_ratio(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     objective = Objective.parse(args.obj)
-    policy = make_policy(args.policy, instance)
+    policy = make_policy(args.policy, instance, baseline=objective.baseline)
     orders = _parse_orders(args.orders) if args.orders else None
     report = order_ratio_sweep(instance, policy, objective, orders=orders, perm_cap=args.perm_cap)
     if args.format == "csv":

@@ -36,7 +36,7 @@ from .policies import (
     Policy,
     SingleThresholdPolicy,
 )
-from .thresholds import PHI, solve_beta, suffix_max, win_factors
+from .thresholds import PHI, suffix_max, threshold_triple, win_factors
 
 DEFAULT_STATE_CAP = 1_000_000
 DEFAULT_PROFILE_CAP = 1_000_000
@@ -151,7 +151,6 @@ def eval_exact(
 def _stateless_expectation(instance: Instance, order: Order, policy: Policy) -> float:
     seq = order.sequence
     rem = _remaining_sets(order)
-    full = order if policy.order_aware else None
     total = 0.0
     pass_mass = 1.0
     for pos in range(1, len(seq) + 1):
@@ -159,7 +158,7 @@ def _stateless_expectation(instance: Instance, order: Order, policy: Policy) -> 
         accepted = 0.0
         rejected = 0.0
         for v, p in box.outcomes:
-            ctx = DecisionContext(pos, v, 0.0, rem[pos - 1], full)
+            ctx = DecisionContext(pos, v, 0.0, rem[pos - 1])
             if policy.decide(ctx):
                 accepted += p * v
             else:
@@ -209,7 +208,6 @@ def _state_dp(
         )
     seq = order.sequence
     rem = _remaining_sets(order)
-    full = order if policy.order_aware else None
     winprob = objective.is_winprob
     theta0 = objective.baseline if winprob else 0.0
     factors = (
@@ -226,7 +224,7 @@ def _state_dp(
         nxt: dict[float, float] = {}
         for theta, mass in states.items():
             for v, p in outcomes:
-                ctx = DecisionContext(pos, v, theta, remaining, full)
+                ctx = DecisionContext(pos, v, theta, remaining)
                 if policy.decide(ctx):
                     if winprob:
                         if v > theta:
@@ -250,20 +248,12 @@ def simulate_profile(
     profile: ValueProfile,
 ) -> float:
     """Payoff of one sequential run on a fixed profile (the oracle walker)."""
-    return _walk(
-        order.sequence,
-        _remaining_sets(order),
-        order if policy.order_aware else None,
-        policy,
-        objective,
-        profile.values,
-    )
+    return _walk(order.sequence, _remaining_sets(order), policy, objective, profile.values)
 
 
 def _walk(
     seq: Sequence[int],
     rem: Sequence[frozenset[int]],
-    full: Optional[Order],
     policy: Policy,
     objective: Objective,
     values: Sequence[float],
@@ -273,7 +263,7 @@ def _walk(
     for pos in range(1, len(seq) + 1):
         bid = seq[pos - 1]
         v = values[bid]
-        ctx = DecisionContext(pos, v, prefix, rem[pos - 1], full)
+        ctx = DecisionContext(pos, v, prefix, rem[pos - 1])
         if policy.decide(ctx):
             if not winprob:
                 return v
@@ -305,12 +295,11 @@ def brute_force(
         )
     seq = order.sequence
     rem = _remaining_sets(order)
-    full = order if policy.order_aware else None
     total = 0.0
     for combo in itertools.product(*[d.outcomes for d in instance.distributions]):
         prob = math.prod(p for _, p in combo)
         values = tuple(v for v, _ in combo)
-        payoff = _walk(seq, rem, full, policy, objective, values)
+        payoff = _walk(seq, rem, policy, objective, values)
         if payoff:
             total += prob * payoff
     if objective.is_winprob:
@@ -333,13 +322,12 @@ def monte_carlo(
     rng = random.Random(seed)
     seq = order.sequence
     rem = _remaining_sets(order)
-    full = order if policy.order_aware else None
     dists = instance.distributions
     s1 = 0.0
     s2 = 0.0
     for _ in range(samples):
         values = tuple(d.sample(rng) for d in dists)
-        payoff = _walk(seq, rem, full, policy, objective, values)
+        payoff = _walk(seq, rem, policy, objective, values)
         s1 += payoff
         s2 += payoff * payoff
     mean = s1 / samples
@@ -408,7 +396,6 @@ def order_ratio_sweep(
     *,
     orders: Optional[Sequence[Order]] = None,
     perm_cap: int = DEFAULT_PERM_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> RatioReport:
     """Ratio of ``policy`` to the order-aware optimum over arrival orders.
 
@@ -418,7 +405,7 @@ def order_ratio_sweep(
     backward induction (:class:`OptExpectationPolicy` or
     :class:`OptMaxProbPolicy`), so only ``policy`` is evaluated. Orders where
     the optimum is 0 are recorded with ratio 1 and flagged degenerate instead
-    of being dropped.
+    of being dropped. An empty ``orders`` raises :class:`ValidationError`.
     """
     if orders is None:
         if instance.n > perm_cap:
@@ -427,11 +414,11 @@ def order_ratio_sweep(
                 "pass an explicit order list instead of sweeping all orders"
             )
         orders = [Order(perm) for perm in itertools.permutations(range(instance.n))]
+    if not orders:
+        raise ValidationError("the order list is empty; give at least one order")
     rows: list[OrderRatio] = []
-    min_ratio = math.inf
-    argmin: Optional[Order] = None
     for order in orders:
-        alg_res = eval_exact(instance, order, policy, objective, state_cap=state_cap)
+        alg_res = eval_exact(instance, order, policy, objective)
         if objective.is_winprob:
             opt = _clamp_prob(OptMaxProbPolicy(instance, order, objective.baseline).win_probability)
         else:
@@ -439,11 +426,8 @@ def order_ratio_sweep(
         degenerate = opt == 0.0
         ratio = 1.0 if degenerate else alg_res.value / opt
         rows.append(OrderRatio(order, alg_res.value, opt, ratio, degenerate, alg_res.method))
-        if ratio < min_ratio:
-            min_ratio = ratio
-            argmin = order
-    assert argmin is not None
-    return RatioReport(tuple(rows), min_ratio, argmin)
+    worst = min(rows, key=lambda row: row.ratio)
+    return RatioReport(tuple(rows), worst.ratio, worst.order)
 
 
 @dataclass(frozen=True)
@@ -472,9 +456,7 @@ def continuation_audit(instance: Instance, order: Order) -> list[ContinuationAud
     rows: list[ContinuationAuditRow] = []
     for t in range(1, instance.n + 1):
         suffix_ids = order.sequence[t:]
-        law = suffix_max(instance.box(b) for b in suffix_ids)
-        alpha = law.expectation() / PHI
-        beta = solve_beta(law)
+        triple = threshold_triple(suffix_max(instance.box(b) for b in suffix_ids))
         if suffix_ids:
             sub = Instance(tuple(instance.box(b) for b in suffix_ids))
             alg_value = eval_exact(
@@ -486,10 +468,10 @@ def continuation_audit(instance: Instance, order: Order) -> list[ContinuationAud
             ContinuationAuditRow(
                 t=t,
                 alg_suffix_value=alg_value,
-                beta=beta,
-                alpha=alpha,
-                ok_alg_vs_beta=alg_value >= beta - AUDIT_SLACK,
-                ok_beta_vs_alpha=beta >= alpha / PHI - AUDIT_SLACK,
+                beta=triple.beta,
+                alpha=triple.alpha,
+                ok_alg_vs_beta=alg_value >= triple.beta - AUDIT_SLACK,
+                ok_beta_vs_alpha=triple.beta >= triple.alpha / PHI - AUDIT_SLACK,
             )
         )
     return rows

@@ -16,6 +16,11 @@ from typing import NamedTuple, Optional, Sequence
 from .core import DiscreteDistribution, Instance, Order, validate_instance
 from .thresholds import LAMBDA, LN_INV_LAMBDA, PHI
 
+# golden_lb builds about (phi - 1) / step deterministic boxes and as many
+# canonical orders of that length; past this count the orders alone would
+# take gigabytes.
+GOLDEN_LB_MAX_BOXES = 1000
+
 
 @dataclass(frozen=True)
 class FamilyInstance:
@@ -83,6 +88,11 @@ def golden_lb(eps: float, step: float) -> FamilyInstance:
         raise ValueError(f"eps must be in (0, 0.5), got {eps!r}")
     if not 0.0 < step <= PHI - 1.0:
         raise ValueError(f"step must be in (0, phi-1], got {step!r}")
+    if (PHI - 1.0) / step > GOLDEN_LB_MAX_BOXES:
+        raise ValueError(
+            f"step {step!r} would build more than {GOLDEN_LB_MAX_BOXES} boxes; "
+            f"use a step of at least {(PHI - 1.0) / GOLDEN_LB_MAX_BOXES:.3g}"
+        )
     values = []
     v = PHI
     while v > 1.0 + 1e-9:
@@ -124,9 +134,10 @@ def maxprob_lb(n: int) -> FamilyInstance:
     Each rare box realizes its value with probability eps chosen so that
     P[all rare boxes stay at 0] lands exactly on lambda in float arithmetic
     (the construction sits on the accept boundary of the max-probability rule,
-    so eps is nudged by ulps until the sequential product is >= lambda; the
-    drift from lambda stays below 1e-12). Canonical orders run the rare boxes
-    decreasing (the hard order) and increasing after the deterministic box.
+    so eps is nudged by ulps until the sequential product is >= lambda). An n
+    so large that one ulp of q moves that product by more than 1e-12 raises
+    ``ValueError``. Canonical orders run the rare boxes decreasing (the hard
+    order) and increasing after the deterministic box.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -134,7 +145,7 @@ def maxprob_lb(n: int) -> FamilyInstance:
     while _seq_pow(q, n) < LAMBDA:
         q = math.nextafter(q, 1.0)
     if abs(_seq_pow(q, n) - LAMBDA) > 1e-12:
-        raise ArithmeticError("per-box zero probability drifted from lambda^(1/n)")
+        raise ValueError(f"n={n} is too large: P[every rare box is 0] cannot land within 1e-12 of lambda")
     eps = 1.0 - q
     boxes = [DiscreteDistribution.point(0.5)]
     for i in range(1, n + 1):

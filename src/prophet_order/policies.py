@@ -1,10 +1,11 @@
 """Stopping rules behind one decision interface.
 
 Order-unaware policies (adaptive golden-ratio thresholds, max-probability rule)
-never read the arrival order; order-aware optima (backward induction, the
-win-probability DP) are built for one fixed order. Every decision is a
-deterministic function of the :class:`DecisionContext`; internal caches are
-pure memoization keyed on context fields.
+read only the set of boxes still to come; order-aware optima (backward
+induction, the win-probability DP) are built for one fixed order and read the
+position. The context carries no order, so no policy can learn it. Every
+decision is a deterministic function of the :class:`DecisionContext`; internal
+caches are pure memoization keyed on context fields.
 
 Tie-breaking is uniform across policies: accept on threshold equality. The
 max-probability rule additionally requires the current value to strictly
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .core import DiscreteDistribution, Instance, Order, ValidationError, validate_instance, validate_order
 from .thresholds import (
@@ -33,15 +34,13 @@ class DecisionContext(NamedTuple):
     """What a policy sees when a box arrives.
 
     ``position`` is 1-based. ``prefix_max`` is the running maximum of the
-    baseline and every value observed before this one. ``full_order`` is only
-    populated for order-aware policies.
+    baseline and every value observed before this one.
     """
 
     position: int
     current_value: float
     prefix_max: float
     remaining_boxes: frozenset[int]
-    full_order: Optional[Order] = None
 
 
 class Policy:
@@ -52,7 +51,6 @@ class Policy:
     """
 
     kind: str = "custom"
-    order_aware: bool = False
     uses_prefix_max: bool = True
 
     def decide(self, ctx: DecisionContext) -> bool:
@@ -154,7 +152,6 @@ class OptExpectationPolicy(Policy):
     """
 
     kind = "opt-exp"
-    order_aware = True
     uses_prefix_max = False
 
     def __init__(self, instance: Instance, order: Order):
@@ -181,7 +178,6 @@ class OptMaxProbPolicy(Policy):
     """
 
     kind = "opt-maxprob"
-    order_aware = True
     uses_prefix_max = True
 
     def __init__(self, instance: Instance, order: Order, baseline: float = 0.0):
@@ -247,19 +243,28 @@ class SingleThresholdPolicy(Policy):
         return ctx.current_value >= self.threshold
 
 
-def make_policy(spec: str, instance: Instance, order: Order | None = None) -> Policy:
+def make_policy(
+    spec: str, instance: Instance, order: Order | None = None, *, baseline: float = 0.0
+) -> Policy:
     """Build a policy from its CLI spec string.
 
-    Recognized: ``golden``, ``maxprob[:theta]``, ``opt-exp``,
-    ``opt-maxprob[:theta]``, ``threshold:<T>``, ``median``, ``half-emax``,
-    ``inv-e``. Order-aware kinds require ``order``.
+    Recognized: ``golden``, ``maxprob``, ``opt-exp``, ``opt-maxprob``,
+    ``threshold:<T>``, ``median``, ``half-emax``, ``inv-e``. Order-aware kinds
+    require ``order``. ``baseline`` is the win-probability baseline of
+    ``maxprob`` and ``opt-maxprob``; it comes from the objective, so a
+    ``:theta`` suffix on either spec is rejected.
     """
-    name, _, arg = spec.partition(":")
+    name, sep, arg = spec.partition(":")
     name = name.strip()
+    if name in ("maxprob", "opt-maxprob") and sep:
+        raise ValidationError(
+            f"policy {name!r} takes no suffix: its baseline comes from the objective, "
+            f"set it with --obj winprob:{arg or 'THETA'}"
+        )
     if name == "golden":
         return GoldenPolicy(instance)
     if name == "maxprob":
-        return MaxProbPolicy(instance, baseline=float(arg) if arg else 0.0)
+        return MaxProbPolicy(instance, baseline)
     if name == "opt-exp":
         if order is None:
             raise ValidationError("policy 'opt-exp' is order-aware and needs an order")
@@ -267,7 +272,7 @@ def make_policy(spec: str, instance: Instance, order: Order | None = None) -> Po
     if name == "opt-maxprob":
         if order is None:
             raise ValidationError("policy 'opt-maxprob' is order-aware and needs an order")
-        return OptMaxProbPolicy(instance, order, baseline=float(arg) if arg else 0.0)
+        return OptMaxProbPolicy(instance, order, baseline)
     if name == "threshold":
         if not arg:
             raise ValidationError("policy 'threshold' needs a value, e.g. threshold:1.5")

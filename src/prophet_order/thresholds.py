@@ -52,63 +52,30 @@ LAMBDA = solve_lambda()
 LN_INV_LAMBDA = math.log(1.0 / LAMBDA)
 
 
-@dataclass(frozen=True)
-class Constants:
-    phi: float
-    lam: float
-    ln_inv_lambda: float
+def suffix_max(dists: Iterable[DiscreteDistribution]) -> DiscreteDistribution:
+    """Exact law of the maximum value over the given boxes.
 
-
-CONSTANTS = Constants(phi=PHI, lam=LAMBDA, ln_inv_lambda=LN_INV_LAMBDA)
-
-
-class SuffixMaxDistribution:
-    """Exact law of the maximum value over a set of boxes.
-
-    The CDF at x is the product of the member boxes' CDFs at x; that product is
-    evaluated directly from the members, so it holds exactly at every support
-    point. The empty set is a first-class value: its maximum is "always below
-    any positive x" and has expectation 0, represented as a point mass at 0.
+    The CDF at each support point is the product of the boxes' CDFs there,
+    taken in the order the boxes are given and capped at 1 (a box whose
+    probabilities sum to one ulp above 1 would otherwise give an outcome a
+    probability above 1). The max over no boxes is a point mass at 0: it is
+    below every positive value and has expectation 0.
     """
-
-    __slots__ = ("members", "empty_set", "outcomes", "_expectation")
-
-    def __init__(self, members: Iterable[DiscreteDistribution]):
-        self.members: tuple[DiscreteDistribution, ...] = tuple(members)
-        self.empty_set: bool = not self.members
-        if self.empty_set:
-            self.outcomes: tuple[tuple[float, float], ...] = ((0.0, 1.0),)
-        else:
-            values = sorted({v for m in self.members for v in m.values})
-            outcomes = []
-            prev_cdf = 0.0
-            for v in values:
-                cdf = self.prob_below(v, strict=False)
-                p = cdf - prev_cdf
-                if p > 0.0:
-                    outcomes.append((v, p))
-                prev_cdf = cdf
-            self.outcomes = tuple(outcomes)
-        self._expectation = math.fsum(v * p for v, p in self.outcomes)
-
-    def prob_below(self, x: float, strict: bool = False) -> float:
-        """P[max < x] (strict) or P[max <= x], as the product over members."""
-        if self.empty_set:
-            if strict:
-                return 1.0 if x > 0.0 else 0.0
-            return 1.0 if x >= 0.0 else 0.0
-        prod = 1.0
-        for m in self.members:
-            prod *= m.prob_below(x, strict=strict)
-        return prod
-
-    def expectation(self) -> float:
-        return self._expectation
-
-
-def suffix_max(dists: Iterable[DiscreteDistribution]) -> SuffixMaxDistribution:
-    """Law of the max over the given boxes; an empty iterable is allowed."""
-    return SuffixMaxDistribution(dists)
+    members = tuple(dists)
+    if not members:
+        return DiscreteDistribution.point(0.0)
+    outcomes = []
+    prev_cdf = 0.0
+    for v in sorted({v for m in members for v in m.values}):
+        cdf = 1.0
+        for m in members:
+            cdf *= m.prob_below(v)
+        cdf = min(cdf, 1.0)
+        p = cdf - prev_cdf
+        if p > 0.0:
+            outcomes.append((v, p))
+        prev_cdf = cdf
+    return DiscreteDistribution(tuple(outcomes))
 
 
 def win_factors(instance: Instance, order: Order, values: Iterable[float]) -> list[dict[float, float]]:
@@ -130,12 +97,12 @@ def win_factors(instance: Instance, order: Order, values: Iterable[float]) -> li
     return factors
 
 
-def expected_surplus(dist: SuffixMaxDistribution, c: float) -> float:
-    """E[(y - c)^+] for y distributed as ``dist``; 0 for the empty set."""
+def expected_surplus(dist: DiscreteDistribution, c: float) -> float:
+    """E[(y - c)^+] for y distributed as ``dist``."""
     return math.fsum(p * (v - c) for v, p in dist.outcomes if v > c)
 
 
-def solve_beta(dist: SuffixMaxDistribution) -> float:
+def solve_beta(dist: DiscreteDistribution) -> float:
     """The unique x >= 0 with E[(y - phi*x)^+] = x, solved exactly.
 
     The left side is piecewise linear and non-increasing in x with breakpoints
@@ -144,7 +111,7 @@ def solve_beta(dist: SuffixMaxDistribution) -> float:
     :func:`solve_beta_bisection` as an independent cross-check.
     """
     outs = dist.outcomes
-    if dist.empty_set or dist.expectation() == 0.0:
+    if dist.expectation() == 0.0:
         return 0.0
     m = len(outs)
     # suffix_p[a] = P[y >= outs[a].value], suffix_ev[a] = E[y; y >= outs[a].value]
@@ -168,9 +135,9 @@ def solve_beta(dist: SuffixMaxDistribution) -> float:
     return solve_beta_bisection(dist)
 
 
-def solve_beta_bisection(dist: SuffixMaxDistribution, tol: float = 1e-14) -> float:
+def solve_beta_bisection(dist: DiscreteDistribution, tol: float = 1e-14) -> float:
     """Bisection solve of E[(y - phi*x)^+] = x, independent of the exact path."""
-    if dist.empty_set or dist.expectation() == 0.0:
+    if dist.expectation() == 0.0:
         return 0.0
 
     def gap(x: float) -> float:
@@ -202,7 +169,7 @@ class ThresholdTriple:
     tau: float
 
 
-def threshold_triple(dist: SuffixMaxDistribution) -> ThresholdTriple:
+def threshold_triple(dist: DiscreteDistribution) -> ThresholdTriple:
     """alpha = E[y]/phi, beta from :func:`solve_beta`, tau = max(alpha, beta)."""
     alpha = dist.expectation() / PHI
     beta = solve_beta(dist)
@@ -229,7 +196,7 @@ def classic_thresholds(instance: Instance) -> ClassicThresholds:
     )
 
 
-def _lower_quantile(law: SuffixMaxDistribution, q: float) -> float:
+def _lower_quantile(law: DiscreteDistribution, q: float) -> float:
     acc = 0.0
     for v, p in law.outcomes:
         acc += p

@@ -8,11 +8,13 @@ satisfies the unique-max requirement; zeros may repeat (an empty box).
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from functools import lru_cache
 from typing import Callable
 
-from prophet_order import DecisionContext, Instance, Order, Policy, SuffixMaxDistribution, suffix_max
+from prophet_order import DecisionContext, DiscreteDistribution, Instance, Order, Policy, suffix_max
 
 GUARANTEE_CORPUS_SEED = 0x5EED_0001
 ORACLE_CORPUS_SEED = 0x5EED_0002
@@ -62,11 +64,21 @@ def random_order(rng: random.Random, n: int) -> Order:
     return Order(tuple(seq))
 
 
-def random_suffix_law(rng: random.Random, max_boxes: int = 4, max_support: int = 4) -> SuffixMaxDistribution:
+def random_suffix_law(rng: random.Random, max_boxes: int = 4, max_support: int = 4) -> DiscreteDistribution:
     if rng.random() < 0.05:
         return suffix_max([])
     inst = random_instance(rng, max_boxes, max_support)
     return suffix_max(inst.distributions)
+
+
+def enumerate_max_law(dists):
+    """Independent oracle: build the max law by enumerating all profiles."""
+    acc: dict[float, float] = {}
+    for combo in itertools.product(*[d.outcomes for d in dists]):
+        prob = math.prod(p for _, p in combo)
+        top = max(v for v, _ in combo)
+        acc[top] = acc.get(top, 0.0) + prob
+    return tuple(sorted((v, p) for v, p in acc.items()))
 
 
 @lru_cache(maxsize=None)

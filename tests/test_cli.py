@@ -5,6 +5,10 @@ import pytest
 
 from prophet_order import (
     Instance,
+    MaxProbPolicy,
+    Objective,
+    Order,
+    eval_exact,
     load_instance,
     load_order,
     save_instance,
@@ -28,6 +32,22 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_clean_exit_2(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.fixture
+def floor_pair(tmp_path):
+    """Two boxes where a baseline of 0.5 makes the value 0.25 unwinnable."""
+    inst = Instance.from_supports([[(0.25, 0.5), (1.0, 0.5)], [(0.0, 0.5), (2.0, 0.5)]])
+    path = tmp_path / "floor_pair.json"
+    save_instance(inst, str(path))
+    return inst, str(path)
 
 
 class TestConstants:
@@ -131,6 +151,24 @@ class TestEvaluate:
         assert code == 2
         assert "permutation" in err
 
+    @pytest.mark.parametrize("spec", ["maxprob:5", "opt-maxprob:2"])
+    def test_policy_baseline_suffix_exits_2(self, capsys, classic2, spec):
+        code, out, err = run(
+            capsys, ["evaluate", "-i", classic2, "-o", "0,1", "-p", spec, "--obj", "winprob:0"]
+        )
+        assert_clean_exit_2(code, out, err)
+        assert "--obj winprob:" in err
+
+    def test_baseline_comes_from_objective(self, capsys, floor_pair):
+        inst, path = floor_pair
+        code, out, _ = run(
+            capsys, ["evaluate", "-i", path, "-o", "0,1", "-p", "maxprob", "--obj", "winprob:0.5"]
+        )
+        assert code == 0
+        order = Order((0, 1))
+        expected = eval_exact(inst, order, MaxProbPolicy(inst, 0.5), Objective.winprob(0.5)).value
+        assert json.loads(out)["value"] == expected == 0.5
+
     def test_unknown_policy_exits_2(self, capsys, classic2):
         code, _, err = run(
             capsys,
@@ -177,6 +215,28 @@ class TestRatio:
         )
         assert code == 2
         assert "permutation" in err
+
+    def test_baseline_comes_from_objective(self, capsys, floor_pair):
+        inst, path = floor_pair
+        code, out, _ = run(capsys, ["ratio", "-i", path, "-p", "maxprob", "--obj", "winprob:0.5"])
+        assert code == 0
+        policy = MaxProbPolicy(inst, 0.5)
+        for row in json.loads(out)["per_order"]:
+            order = Order(tuple(row["order"]))
+            assert row["alg"] == eval_exact(inst, order, policy, Objective.winprob(0.5)).value
+
+    @pytest.mark.parametrize("source", ["list", "file"])
+    def test_empty_order_list_exits_2(self, capsys, classic2, tmp_path, source):
+        orders = ";"
+        if source == "file":
+            orders = str(tmp_path / "orders.json")
+            (tmp_path / "orders.json").write_text(json.dumps({"orders": []}))
+        code, out, err = run(
+            capsys,
+            ["ratio", "-i", classic2, "-p", "golden", "--obj", "expectation", "--orders", orders],
+        )
+        assert_clean_exit_2(code, out, err)
+        assert "order list is empty" in err
 
     def test_repeated_sweeps_byte_identical(self, capsys, classic2):
         argv = ["ratio", "-i", classic2, "-p", "maxprob", "--obj", "winprob"]
@@ -239,6 +299,17 @@ class TestReproduce:
         validate_instance(inst)
         for name in ("order_a", "order_b"):
             validate_order(inst, load_order(str(outdir / f"{name}.json")))
+
+    def test_maxprob_lb_too_large_n_exits_2(self, capsys):
+        code, out, err = run(capsys, ["reproduce", "maxprob-lb", "--n", "50000"])
+        assert_clean_exit_2(code, out, err)
+        assert "n=50000" in err
+
+    def test_golden_lb_step_below_float_spacing_exits_2(self, capsys):
+        # PHI - 1e-300 == PHI: without the box-count bound this never returns.
+        code, out, err = run(capsys, ["reproduce", "golden-lb", "--step", "1e-300"])
+        assert_clean_exit_2(code, out, err)
+        assert "boxes" in err
 
     def test_unknown_family_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

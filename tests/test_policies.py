@@ -25,8 +25,8 @@ from prophet_order import (
 from tests.helpers import random_instance, random_order
 
 
-def ctx(position, value, prefix=0.0, remaining=(), order=None):
-    return DecisionContext(position, value, prefix, frozenset(remaining), order)
+def ctx(position, value, prefix=0.0, remaining=()):
+    return DecisionContext(position, value, prefix, frozenset(remaining))
 
 
 def classic_two_box(eps):
@@ -70,9 +70,10 @@ class TestGoldenPolicy:
             remaining = frozenset(rng.sample(range(n), rng.randint(0, n - 1)))
             v = rng.choice(inst.box(rng.randrange(n)).values)
             base = pol.decide(ctx(pos, v, 0.0, remaining))
+            # The context carries no order; the position is all an order could add.
             for prefix in (0.0, v, v + 1.0, 50.0):
-                for order in (None, random_order(rng, n)):
-                    assert pol.decide(DecisionContext(pos, v, prefix, remaining, order)) == base
+                for other_pos in range(1, n + 1):
+                    assert pol.decide(DecisionContext(other_pos, v, prefix, remaining)) == base
 
 
 class TestMaxProbPolicy:
@@ -114,8 +115,8 @@ class TestMaxProbPolicy:
             v = rng.choice(inst.box(rng.randrange(n)).values)
             prefix = rng.choice([0.0, v / 2.0])
             base = pol.decide(ctx(pos, v, prefix, remaining))
-            for order in (None, random_order(rng, n), random_order(rng, n)):
-                assert pol.decide(DecisionContext(pos, v, prefix, remaining, order)) == base
+            for other_pos in range(1, n + 1):
+                assert pol.decide(DecisionContext(other_pos, v, prefix, remaining)) == base
 
 
 class TestOptExpectation:
@@ -239,9 +240,12 @@ class TestMakePolicy:
         order = Order((0, 1))
         assert make_policy("golden", inst).kind == "golden"
         assert make_policy("maxprob", inst).baseline == 0.0
-        assert make_policy("maxprob:0.5", inst).baseline == 0.5
+        assert make_policy("maxprob", inst, baseline=0.5).baseline == 0.5
         assert make_policy("opt-exp", inst, order).kind == "opt-exp"
-        assert make_policy("opt-maxprob:0.25", inst, order).baseline == 0.25
+        assert make_policy("opt-maxprob", inst, order, baseline=0.25).baseline == 0.25
+        for spec in ("maxprob:0.5", "opt-maxprob:0.25", "maxprob:"):
+            with pytest.raises(ValidationError, match="--obj winprob:"):
+                make_policy(spec, inst, order)
         assert make_policy("threshold:1.5", inst).threshold == 1.5
         assert make_policy("median", inst).kind == "median"
         assert make_policy("inv-e", inst).kind == "inv-e"

@@ -6,14 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prophet_order import (
+    LN_INV_LAMBDA,
+    PHI,
+    GoldenPolicy,
     Instance,
+    MaxProbPolicy,
     Objective,
     OptExpectationPolicy,
     OptMaxProbPolicy,
+    Order,
+    brute_force,
     eval_exact,
     order_ratio_sweep,
+    suffix_max,
 )
-from tests.helpers import FunctionPolicy
+from tests.helpers import FunctionPolicy, enumerate_max_law
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
 
 @st.composite
@@ -36,7 +45,7 @@ def unique_max_instances(draw) -> Instance:
     return Instance.from_supports(boxes)
 
 
-@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@SETTINGS
 @given(unique_max_instances(), st.sampled_from([0.0, 0.0625, 1.0, 4.0]))
 def test_sweep_opt_is_the_exact_value_of_the_benchmark(instance, baseline):
     # order_ratio_sweep reads the optimum off the benchmark's own backward
@@ -51,3 +60,78 @@ def test_sweep_opt_is_the_exact_value_of_the_benchmark(instance, baseline):
                 benchmark = OptExpectationPolicy(instance, row.order)
             exact = eval_exact(instance, row.order, benchmark, objective).value
             assert abs(row.opt - exact) <= 1e-12, (objective, row.order)
+
+
+# Positive values from small dyadics up to 1e6, and point probabilities down to 1e-9.
+EDGE_VALUES = st.one_of(
+    st.integers(1, 64).map(lambda k: k / 8.0),
+    st.floats(1.0, 1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e6, 999999.5]),
+)
+EDGE_PROBS = st.one_of(st.sampled_from([1e-9, 1e-7, 1e-3]), st.floats(1e-9, 0.3))
+
+
+@st.composite
+def edge_instances(draw) -> Instance:
+    """n <= 4 boxes of at most 3 points each: point masses, shared zero atoms,
+    probabilities down to 1e-9 and positive values up to 1e6 that no two boxes
+    share. The last point of a box takes the mass the others leave."""
+    n = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    positives = draw(st.lists(EDGE_VALUES, min_size=sum(sizes), max_size=sum(sizes), unique=True))
+    boxes = []
+    for size in sizes:
+        values = sorted(positives[:size])
+        positives = positives[size:]
+        if draw(st.booleans()):
+            values[0] = 0.0
+        probs = draw(st.lists(EDGE_PROBS, min_size=size - 1, max_size=size - 1))
+        boxes.append(list(zip(values, probs + [1.0 - sum(probs)])))
+    return Instance.from_supports(boxes)
+
+
+@st.composite
+def edge_cases(draw) -> tuple[Instance, Order]:
+    instance = draw(edge_instances())
+    return instance, Order(tuple(draw(st.permutations(range(instance.n)))))
+
+
+@SETTINGS
+@given(edge_instances())
+def test_suffix_max_matches_enumeration_on_edge_laws(instance):
+    law = dict(suffix_max(instance.distributions).outcomes)
+    oracle = dict(enumerate_max_law(instance.distributions))
+    # An atom below float resolution next to a CDF near 1 may drop out of the
+    # law, so compare masses value by value instead of the supports.
+    assert set(law) <= set(oracle)
+    for v, p in oracle.items():
+        assert abs(law.get(v, 0.0) - p) <= 1e-12, v
+
+
+@SETTINGS
+@given(edge_cases(), st.sampled_from([0.0, 0.5, 1e6]))
+def test_exact_equals_brute_force_on_edge_laws(case, baseline):
+    instance, order = case
+    policies = {
+        "golden": GoldenPolicy(instance),
+        "maxprob": MaxProbPolicy(instance, baseline),
+        "opt-exp": OptExpectationPolicy(instance, order),
+        "opt-maxprob": OptMaxProbPolicy(instance, order, baseline),
+    }
+    for objective in (Objective.expectation(), Objective.winprob(baseline)):
+        for name, policy in policies.items():
+            exact = eval_exact(instance, order, policy, objective).value
+            brute = brute_force(instance, order, policy, objective).value
+            assert abs(exact - brute) <= 1e-12 * max(1.0, abs(exact)), (name, objective)
+
+
+@SETTINGS
+@given(edge_instances())
+def test_sweep_rows_meet_the_tight_constant_on_edge_laws(instance):
+    cases = (
+        (GoldenPolicy(instance), Objective.expectation(), 1.0 / PHI),
+        (MaxProbPolicy(instance, 0.0), Objective.winprob(0.0), LN_INV_LAMBDA),
+    )
+    for policy, objective, c in cases:
+        for row in order_ratio_sweep(instance, policy, objective).per_order:
+            assert row.alg >= c * row.opt - 1e-9, (policy.kind, row)

@@ -1,11 +1,9 @@
-import itertools
 import math
 import random
 
 import pytest
 
 from prophet_order import (
-    CONSTANTS,
     LAMBDA,
     LN_INV_LAMBDA,
     PHI,
@@ -19,7 +17,7 @@ from prophet_order import (
     suffix_max,
     threshold_triple,
 )
-from tests.helpers import random_instance, random_suffix_law
+from tests.helpers import enumerate_max_law, random_instance, random_suffix_law
 
 
 class TestConstants:
@@ -37,26 +35,11 @@ class TestConstants:
         assert 0.8055 <= LN_INV_LAMBDA <= 0.8075
         assert LN_INV_LAMBDA == math.log(1.0 / LAMBDA)
 
-    def test_constants_record(self):
-        assert CONSTANTS.phi == PHI
-        assert CONSTANTS.lam == LAMBDA
-        assert CONSTANTS.ln_inv_lambda == LN_INV_LAMBDA
-
-
-def enumerate_max_law(dists):
-    """Independent oracle: build the max law by enumerating all profiles."""
-    acc: dict[float, float] = {}
-    for combo in itertools.product(*[d.outcomes for d in dists]):
-        prob = math.prod(p for _, p in combo)
-        top = max(v for v, _ in combo)
-        acc[top] = acc.get(top, 0.0) + prob
-    return tuple(sorted((v, p) for v, p in acc.items()))
-
 
 class TestSuffixMax:
     def test_empty_set_convention(self):
         law = suffix_max([])
-        assert law.empty_set
+        assert law == DiscreteDistribution.point(0.0)
         assert law.expectation() == 0.0
         assert law.prob_below(0.5, strict=True) == 1.0
         assert law.prob_below(123.0, strict=True) == 1.0
@@ -89,10 +72,25 @@ class TestSuffixMax:
         rng = random.Random(22)
         for _ in range(100):
             inst = random_instance(rng, 4, 3)
-            law = suffix_max(inst.distributions)
-            for v, _ in law.outcomes:
-                product = math.prod(d.prob_below(v) for d in inst.distributions)
-                assert law.prob_below(v) == product
+            increments = []
+            prev = 0.0
+            for v in sorted({v for d in inst.distributions for v in d.values}):
+                cdf = min(math.prod(d.prob_below(v) for d in inst.distributions), 1.0)
+                if cdf - prev > 0.0:
+                    increments.append((v, cdf - prev))
+                prev = cdf
+            assert suffix_max(inst.distributions).outcomes == tuple(increments)
+
+    def test_cdf_capped_at_one(self):
+        # A valid box whose probabilities sum to one ulp above 1.
+        d = DiscreteDistribution(
+            ((1.0, 0.25961622776015947), (2.0, 0.05747620389958546),
+             (3.0, 0.6188763522845167), (4.0, 0.06403121605573854))
+        )
+        assert d.prob_below(4.0) > 1.0
+        law = suffix_max([d, DiscreteDistribution.point(100.0)])
+        assert law.outcomes == ((100.0, 1.0),)
+        assert math.fsum(law.probabilities) == 1.0
 
 
 class TestExpectedSurplus:
