@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterable
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 PROB_SUM_TOL = 1e-9
+_FSUM_PREFIX_MAX = 32  # longest support whose CDF table is summed prefix by prefix
 
 
 class ValidationError(ValueError):
@@ -29,13 +31,22 @@ class DiscreteDistribution:
     strictly increasing and probabilities summing to 1. Build from raw data
     through :meth:`from_pairs`, which canonicalizes it; the bare constructor
     checks the invariants as they stand and raises :class:`ValidationError`.
+
+    Every distribution carries its CDF table: the support ``values`` and
+    ``cdf``, where ``cdf[k]`` is the mass of the first k atoms
+    (``cdf[0] == 0.0``). For a law built by the constructor each entry is the
+    correctly rounded prefix sum, i.e. ``math.fsum`` of the first k
+    probabilities; a law built by :meth:`from_cdf` keeps the CDF it was given.
     """
 
     outcomes: tuple[tuple[float, float], ...]
+    values: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    cdf: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.outcomes:
             raise ValidationError("distribution needs at least one outcome")
+        values, probs = zip(*self.outcomes)
         prev = None
         for v, p in self.outcomes:
             if not math.isfinite(v) or v < 0.0:
@@ -45,9 +56,11 @@ class DiscreteDistribution:
             prev = v
             if not (0.0 < p <= 1.0):
                 raise ValidationError(f"probability {p!r} outside (0, 1]")
-        total = math.fsum(p for _, p in self.outcomes)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1")
+        cdf = _prefix_sums(probs)
+        if abs(cdf[-1] - 1.0) > PROB_SUM_TOL:
+            raise ValidationError(f"probabilities sum to {cdf[-1]!r}, not 1")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "cdf", cdf)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "DiscreteDistribution":
@@ -76,13 +89,37 @@ class DiscreteDistribution:
         return cls(outcomes)
 
     @classmethod
+    def from_cdf(cls, values: Sequence[float], cdf: Sequence[float]) -> "DiscreteDistribution":
+        """The law whose CDF at ``values[k]`` is ``cdf[k]``, taken as given.
+
+        ``values`` must be strictly increasing and ``cdf`` non-decreasing in
+        [0, 1], as a product of CDFs is; points where the CDF does not rise
+        carry no atom and are dropped. The CDF becomes the law's table as it
+        is, without re-summing the atoms, and the total must lie within
+        ``PROB_SUM_TOL`` of 1.
+        """
+        outcomes = []
+        atoms = []
+        table = [0.0]
+        for v, c in zip(values, cdf):
+            if c > table[-1]:
+                outcomes.append((v, c - table[-1]))
+                atoms.append(v)
+                table.append(c)
+        if abs(table[-1] - 1.0) > PROB_SUM_TOL:
+            raise ValidationError(f"probabilities sum to {table[-1]!r}, not 1")
+        # Bypass __init__: its checks hold by construction, and it would
+        # replace the table with re-summed atoms.
+        law = object.__new__(cls)
+        object.__setattr__(law, "outcomes", tuple(outcomes))
+        object.__setattr__(law, "values", tuple(atoms))
+        object.__setattr__(law, "cdf", tuple(table))
+        return law
+
+    @classmethod
     def point(cls, value: float) -> "DiscreteDistribution":
         """Deterministic box holding ``value``."""
         return cls(((float(value), 1.0),))
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self.outcomes)
 
     @property
     def probabilities(self) -> tuple[float, ...]:
@@ -92,14 +129,10 @@ class DiscreteDistribution:
         return math.fsum(v * p for v, p in self.outcomes)
 
     def prob_below(self, x: float, strict: bool = False) -> float:
-        """P[v < x] when ``strict``, else P[v <= x]."""
+        """P[v < x] when ``strict``, else P[v <= x]; 0 when ``x`` is NaN."""
         if strict:
-            return math.fsum(p for v, p in self.outcomes if v < x)
-        return math.fsum(p for v, p in self.outcomes if v <= x)
-
-    def prob_at(self, x: float) -> float:
-        """Probability mass exactly at ``x``."""
-        return math.fsum(p for v, p in self.outcomes if v == x)
+            return self.cdf[bisect_left(self.values, x)]
+        return self.cdf[bisect_right(self.values, x)] if x == x else 0.0
 
     def sample(self, rng: random.Random) -> float:
         """Draw one value using the inverse CDF of ``rng.random()``."""
@@ -110,6 +143,29 @@ class DiscreteDistribution:
             if u < acc:
                 return v
         return self.outcomes[-1][0]
+
+
+def _prefix_sums(probs: Sequence[float]) -> tuple[float, ...]:
+    """(0.0, fsum(probs[:1]), fsum(probs[:2]), ...): each prefix sum correctly rounded.
+
+    Short supports take ``math.fsum`` of each prefix. Longer ones, where that
+    would cost O(m^2), sum exactly in one pass: each float is an integer over
+    a power of two, so the prefixes add up exactly as integers over the
+    largest denominator, and int / int rounds correctly, as ``math.fsum``
+    does. Both give the same bits.
+    """
+    out = [0.0]
+    if len(probs) <= _FSUM_PREFIX_MAX:
+        for k in range(1, len(probs) + 1):
+            out.append(math.fsum(probs[:k]))
+        return tuple(out)
+    ratios = [p.as_integer_ratio() for p in probs]
+    den = max(d for _, d in ratios)
+    acc = 0
+    for num, d in ratios:
+        acc += num * (den // d)
+        out.append(acc / den)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

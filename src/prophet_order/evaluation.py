@@ -36,7 +36,7 @@ from .policies import (
     Policy,
     SingleThresholdPolicy,
 )
-from .thresholds import PHI, suffix_max, threshold_triple, win_factors
+from .thresholds import PHI, win_factors
 
 DEFAULT_STATE_CAP = 1_000_000
 DEFAULT_PROFILE_CAP = 1_000_000
@@ -138,8 +138,13 @@ def eval_exact(
     passes is strictly below its threshold, hence below anything it accepts).
     The general path refuses to build state spaces above ``state_cap`` (as
     total support size times n); use :func:`monte_carlo` on such inputs.
+    A :class:`GoldenPolicy` first computes its thresholds from the back of
+    the order (:meth:`GoldenPolicy.warm`), where each suffix law extends the
+    one after it, so the forward pass finds them cached.
     """
     _check_inputs(instance, order, objective)
+    if isinstance(policy, GoldenPolicy):
+        policy.warm(order)
     if isinstance(policy, SingleThresholdPolicy) and objective.is_winprob:
         value = _threshold_winprob(instance, order, policy.threshold, objective.baseline)
         return EvalResult(_clamp_prob(value), "exact-dp")
@@ -452,11 +457,13 @@ def continuation_audit(instance: Instance, order: Order) -> list[ContinuationAud
     on positions t+1..n alone; the t = n row is the (0, 0, 0) boundary.
     """
     validate_order(instance, order)
+    golden = GoldenPolicy(instance)
+    golden.warm(order)
     expectation = Objective.expectation()
     rows: list[ContinuationAuditRow] = []
     for t in range(1, instance.n + 1):
         suffix_ids = order.sequence[t:]
-        triple = threshold_triple(suffix_max(instance.box(b) for b in suffix_ids))
+        triple = golden.triple(frozenset(suffix_ids))
         if suffix_ids:
             sub = Instance(tuple(instance.box(b) for b in suffix_ids))
             alg_value = eval_exact(

@@ -63,6 +63,11 @@ class GoldenPolicy(Policy):
     Both thresholds are recomputed from the boxes still to come, so the rule
     is order-unaware: only the *set* of remaining boxes matters. With no boxes
     left tau is 0 and anything (including 0) is accepted.
+
+    Triples are cached by set. On a miss the law of the set is built by
+    extending the last law built when the set is that law's set plus one box,
+    as it is when :meth:`warm` walks an order from the back, and from scratch
+    otherwise. Only that last law is kept.
     """
 
     kind = "golden"
@@ -71,14 +76,38 @@ class GoldenPolicy(Policy):
     def __init__(self, instance: Instance):
         self.instance = instance
         self._triples: dict[frozenset[int], ThresholdTriple] = {}
+        self._last: tuple[frozenset[int], DiscreteDistribution] | None = None
 
     def triple(self, remaining_boxes: frozenset[int]) -> ThresholdTriple:
         cached = self._triples.get(remaining_boxes)
         if cached is None:
-            law = suffix_max(self.instance.box(b) for b in sorted(remaining_boxes))
-            cached = threshold_triple(law)
+            cached = threshold_triple(self._law(remaining_boxes))
             self._triples[remaining_boxes] = cached
         return cached
+
+    def warm(self, order: Order) -> None:
+        """Compute the triples of the sets left after each position of ``order``.
+
+        The sets are walked from the back, where each is the one after it plus
+        a box, so every law this builds extends the last one: O(support
+        points) per set, not per box. Skipped when the largest set is cached
+        already, as it is for every order but a few in a sweep.
+        """
+        seq = order.sequence
+        if frozenset(seq[1:]) in self._triples:
+            return
+        for t in range(len(seq), 0, -1):
+            self.triple(frozenset(seq[t:]))
+
+    def _law(self, boxes: frozenset[int]) -> DiscreteDistribution:
+        last = self._last
+        if last is not None and len(boxes) == len(last[0]) + 1 and last[0] < boxes:
+            (added,) = boxes - last[0]
+            law = suffix_max((last[1], self.instance.box(added)))
+        else:
+            law = suffix_max(self.instance.box(b) for b in sorted(boxes))
+        self._last = (boxes, law)
+        return law
 
     def tau(self, remaining_boxes: frozenset[int]) -> float:
         return self.triple(remaining_boxes).tau
@@ -243,6 +272,10 @@ class SingleThresholdPolicy(Policy):
         return ctx.current_value >= self.threshold
 
 
+# Every spec but ``threshold:<T>`` is a bare name.
+_PLAIN_SPECS = ("golden", "maxprob", "opt-exp", "opt-maxprob", "median", "half-emax", "inv-e")
+
+
 def make_policy(
     spec: str, instance: Instance, order: Order | None = None, *, baseline: float = 0.0
 ) -> Policy:
@@ -251,16 +284,22 @@ def make_policy(
     Recognized: ``golden``, ``maxprob``, ``opt-exp``, ``opt-maxprob``,
     ``threshold:<T>``, ``median``, ``half-emax``, ``inv-e``. Order-aware kinds
     require ``order``. ``baseline`` is the win-probability baseline of
-    ``maxprob`` and ``opt-maxprob``; it comes from the objective, so a
-    ``:theta`` suffix on either spec is rejected.
+    ``maxprob`` and ``opt-maxprob``; it comes from the objective. Only
+    ``threshold`` takes a ``:suffix``; one on any other spec is rejected.
     """
     name, sep, arg = spec.partition(":")
     name = name.strip()
-    if name in ("maxprob", "opt-maxprob") and sep:
-        raise ValidationError(
-            f"policy {name!r} takes no suffix: its baseline comes from the objective, "
-            f"set it with --obj winprob:{arg or 'THETA'}"
-        )
+    if name == "threshold":
+        if not arg:
+            raise ValidationError("policy 'threshold' needs a value, e.g. threshold:1.5")
+        return SingleThresholdPolicy(float(arg))
+    if name not in _PLAIN_SPECS:
+        raise ValidationError(f"unknown policy spec {spec!r}")
+    if sep:
+        hint = "only 'threshold' takes one"
+        if name in ("maxprob", "opt-maxprob"):
+            hint = f"its baseline comes from the objective, set it with --obj winprob:{arg or 'THETA'}"
+        raise ValidationError(f"policy {name!r} takes no suffix: {hint}")
     if name == "golden":
         return GoldenPolicy(instance)
     if name == "maxprob":
@@ -273,16 +312,10 @@ def make_policy(
         if order is None:
             raise ValidationError("policy 'opt-maxprob' is order-aware and needs an order")
         return OptMaxProbPolicy(instance, order, baseline)
-    if name == "threshold":
-        if not arg:
-            raise ValidationError("policy 'threshold' needs a value, e.g. threshold:1.5")
-        return SingleThresholdPolicy(float(arg))
-    if name in ("median", "half-emax", "inv-e"):
-        classic = classic_thresholds(instance)
-        value = {
-            "median": classic.median_of_max,
-            "half-emax": classic.half_expected_max,
-            "inv-e": classic.inv_e_quantile,
-        }[name]
-        return SingleThresholdPolicy(value, kind=name)
-    raise ValidationError(f"unknown policy spec {spec!r}")
+    classic = classic_thresholds(instance)
+    value = {
+        "median": classic.median_of_max,
+        "half-emax": classic.half_expected_max,
+        "inv-e": classic.inv_e_quantile,
+    }[name]
+    return SingleThresholdPolicy(value, kind=name)

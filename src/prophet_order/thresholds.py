@@ -14,6 +14,7 @@ constant lambda, the unique root of x / (1 - x) = ln(1 / x).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -58,24 +59,24 @@ def suffix_max(dists: Iterable[DiscreteDistribution]) -> DiscreteDistribution:
     The CDF at each support point is the product of the boxes' CDFs there,
     taken in the order the boxes are given and capped at 1 (a box whose
     probabilities sum to one ulp above 1 would otherwise give an outcome a
-    probability above 1). The max over no boxes is a point mass at 0: it is
-    below every positive value and has expectation 0.
+    probability above 1). The law keeps that capped product as its CDF
+    table. The max over no boxes is a point mass at 0: it is below every
+    positive value and has expectation 0.
+
+    Each member's CDF is read off its table at every point of the merged
+    support, so a call costs O(support points x members) lookups. A member
+    may itself be a law built here: ``suffix_max((law_of_rest, box))``
+    extends a law by one box in O(support points).
     """
     members = tuple(dists)
     if not members:
         return DiscreteDistribution.point(0.0)
-    outcomes = []
-    prev_cdf = 0.0
-    for v in sorted({v for m in members for v in m.values}):
-        cdf = 1.0
-        for m in members:
-            cdf *= m.prob_below(v)
-        cdf = min(cdf, 1.0)
-        p = cdf - prev_cdf
-        if p > 0.0:
-            outcomes.append((v, p))
-        prev_cdf = cdf
-    return DiscreteDistribution(tuple(outcomes))
+    grid = sorted({v for m in members for v in m.values})
+    cdf = [1.0] * len(grid)
+    for m in members:
+        values, table = m.values, m.cdf
+        cdf = [c * table[bisect_right(values, v)] for c, v in zip(cdf, grid)]
+    return DiscreteDistribution.from_cdf(grid, [c if c < 1.0 else 1.0 for c in cdf])
 
 
 def win_factors(instance: Instance, order: Order, values: Iterable[float]) -> list[dict[float, float]]:

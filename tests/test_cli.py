@@ -159,6 +159,14 @@ class TestEvaluate:
         assert_clean_exit_2(code, out, err)
         assert "--obj winprob:" in err
 
+    @pytest.mark.parametrize("spec", ["golden:5", "median:3", "opt-exp:1", "half-emax:2", "inv-e:0.5", "golden:"])
+    def test_suffix_on_a_plain_spec_exits_2(self, capsys, classic2, spec):
+        code, out, err = run(
+            capsys, ["evaluate", "-i", classic2, "-o", "0,1", "-p", spec, "--obj", "expectation"]
+        )
+        assert_clean_exit_2(code, out, err)
+        assert "takes no suffix" in err
+
     def test_baseline_comes_from_objective(self, capsys, floor_pair):
         inst, path = floor_pair
         code, out, _ = run(

@@ -79,6 +79,17 @@ class TestExpectationAndCdf:
         d = DiscreteDistribution.from_pairs([(0.0, 0.5), (2.0, 0.5)])
         assert d.prob_below(1.0, strict=True) == 0.5
 
+    @pytest.mark.parametrize("m", [10, 100])
+    def test_prob_below_is_the_fsum_prefix_bit_for_bit(self, m):
+        # m atoms of 1/m added one by one drift off the correctly rounded
+        # prefix sums (ten atoms of 0.1 reach 0.9999999999999999); the table
+        # holds the prefix sums math.fsum gives, on short and long supports.
+        d = DiscreteDistribution(tuple((float(k), 1.0 / m) for k in range(m)))
+        for k in range(m):
+            assert d.prob_below(float(k)) == math.fsum([1.0 / m] * (k + 1))
+            assert d.prob_below(float(k), strict=True) == math.fsum([1.0 / m] * k)
+        assert d.prob_below(m - 1.0) == 1.0
+
     def test_prob_below_monotone_and_mass_identity(self):
         rng = random.Random(11)
         for _ in range(100):
@@ -92,7 +103,8 @@ class TestExpectationAndCdf:
                 assert strict <= loose + 1e-15
                 assert strict >= prev_strict - 1e-15
                 assert loose >= prev_loose - 1e-15
-                assert loose - strict == pytest.approx(d.prob_at(x), abs=1e-12)
+                mass_at_x = math.fsum(p for v, p in d.outcomes if v == x)
+                assert loose - strict == pytest.approx(mass_at_x, abs=1e-12)
                 prev_strict, prev_loose = strict, loose
 
     def test_expectation_matches_manual_sum(self):

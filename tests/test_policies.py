@@ -22,6 +22,7 @@ from prophet_order import (
     simulate_profile,
     ValueProfile,
 )
+from prophet_order import policies
 from tests.helpers import random_instance, random_order
 
 
@@ -59,6 +60,24 @@ class TestGoldenPolicy:
         pol = GoldenPolicy(inst)
         # remaining point mass 1 gives tau = 1/phi ~ 0.618
         assert not pol.decide(ctx(1, 0.5, remaining={1}))
+
+    def test_exact_walk_extends_one_law_per_position(self, monkeypatch):
+        # eval_exact builds the thresholds from the back of the order, where
+        # each remaining set is the last one plus a box: after the empty set,
+        # every law comes from the last law and that box, not from all boxes.
+        inst = Instance.from_supports([[(0.0, 0.5), (float(k + 1), 0.5)] for k in range(30)])
+        members = []
+        original = policies.suffix_max
+
+        def recording(dists):
+            dists = tuple(dists)
+            members.append(len(dists))
+            return original(dists)
+
+        monkeypatch.setattr(policies, "suffix_max", recording)
+        eval_exact(inst, Order.identity(30), GoldenPolicy(inst), Objective.expectation())
+        assert len(members) == 30
+        assert members[1:] == [2] * 29
 
     def test_ignores_prefix_max_and_order(self):
         rng = random.Random(41)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +22,7 @@ from prophet_order import (
     eval_exact,
     order_ratio_sweep,
     suffix_max,
+    threshold_triple,
 )
 from tests.helpers import FunctionPolicy, enumerate_max_law
 
@@ -135,3 +139,42 @@ def test_sweep_rows_meet_the_tight_constant_on_edge_laws(instance):
     for policy, objective, c in cases:
         for row in order_ratio_sweep(instance, policy, objective).per_order:
             assert row.alg >= c * row.opt - 1e-9, (policy.kind, row)
+
+
+@SETTINGS
+@given(edge_instances())
+def test_prob_below_is_the_fsum_prefix_on_edge_laws(instance):
+    for box in instance.distributions:
+        values = box.values
+        probes = set(values) | {-1.0, -0.0, 0.0, values[-1] + 1.0, math.inf, -math.inf, math.nan}
+        probes |= {(a + b) / 2.0 for a, b in zip(values, values[1:])}
+        for x in probes:
+            below = math.fsum(p for v, p in box.outcomes if v < x)
+            at_most = math.fsum(p for v, p in box.outcomes if v <= x)
+            assert box.prob_below(x, strict=True).hex() == below.hex(), x
+            assert box.prob_below(x, strict=False).hex() == at_most.hex(), x
+
+
+@SETTINGS
+@given(edge_cases())
+def test_golden_tau_does_not_depend_on_the_walk(case):
+    # A law may be extended from the last one built or rebuilt from scratch,
+    # depending on the order in which sets are first reached; tau must not
+    # move by more than rounding either way.
+    instance, order = case
+    seq = order.sequence
+    suffixes = [frozenset(seq[t:]) for t in range(1, instance.n + 1)]
+    backward = GoldenPolicy(instance)
+    eval_exact(instance, order, backward, Objective.expectation())
+    forward = GoldenPolicy(instance)
+    for remaining in suffixes:
+        forward.tau(remaining)
+    swept = GoldenPolicy(instance)
+    order_ratio_sweep(instance, swept, Objective.expectation())
+    proper_subsets = [
+        frozenset(s) for k in range(instance.n) for s in itertools.combinations(range(instance.n), k)
+    ]
+    for policy, reached in ((backward, suffixes), (forward, suffixes), (swept, proper_subsets)):
+        for remaining in reached:
+            ref = threshold_triple(suffix_max(instance.box(b) for b in sorted(remaining))).tau
+            assert abs(policy.tau(remaining) - ref) <= 1e-12 * abs(ref), sorted(remaining)
