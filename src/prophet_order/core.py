@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 PROB_SUM_TOL = 1e-9
-_FSUM_PREFIX_MAX = 32  # longest support whose CDF table is summed prefix by prefix
 
 
 class ValidationError(ValueError):
@@ -36,7 +35,9 @@ class DiscreteDistribution:
     ``cdf``, where ``cdf[k]`` is the mass of the first k atoms
     (``cdf[0] == 0.0``). For a law built by the constructor each entry is the
     correctly rounded prefix sum, i.e. ``math.fsum`` of the first k
-    probabilities; a law built by :meth:`from_cdf` keeps the CDF it was given.
+    probabilities; a law of a maximum built by ``thresholds.suffix_max`` keeps
+    the CDF product it came from. Read the table through :meth:`prob_below`
+    and :meth:`cdf_at`.
     """
 
     outcomes: tuple[tuple[float, float], ...]
@@ -89,14 +90,15 @@ class DiscreteDistribution:
         return cls(outcomes)
 
     @classmethod
-    def from_cdf(cls, values: Sequence[float], cdf: Sequence[float]) -> "DiscreteDistribution":
+    def _from_cdf(cls, values: Sequence[float], cdf: Sequence[float]) -> "DiscreteDistribution":
         """The law whose CDF at ``values[k]`` is ``cdf[k]``, taken as given.
 
-        ``values`` must be strictly increasing and ``cdf`` non-decreasing in
-        [0, 1], as a product of CDFs is; points where the CDF does not rise
-        carry no atom and are dropped. The CDF becomes the law's table as it
-        is, without re-summing the atoms, and the total must lie within
-        ``PROB_SUM_TOL`` of 1.
+        Private to ``thresholds.suffix_max``, whose arguments meet what this
+        does not check: ``values`` finite, non-negative and strictly
+        increasing, ``cdf`` non-decreasing in [0, 1], as a product of CDFs
+        is. Points where the CDF does not rise carry no atom and are dropped.
+        The CDF becomes the law's table as it is, without re-summing the
+        atoms, and the total must lie within ``PROB_SUM_TOL`` of 1.
         """
         outcomes = []
         atoms = []
@@ -134,6 +136,11 @@ class DiscreteDistribution:
             return self.cdf[bisect_left(self.values, x)]
         return self.cdf[bisect_right(self.values, x)] if x == x else 0.0
 
+    def cdf_at(self, xs: Iterable[float]) -> list[float]:
+        """[P[v <= x] for x in xs], each bit for bit ``prob_below(x)``."""
+        values, table = self.values, self.cdf
+        return [table[bisect_right(values, x)] if x == x else 0.0 for x in xs]
+
     def sample(self, rng: random.Random) -> float:
         """Draw one value using the inverse CDF of ``rng.random()``."""
         u = rng.random()
@@ -148,17 +155,11 @@ class DiscreteDistribution:
 def _prefix_sums(probs: Sequence[float]) -> tuple[float, ...]:
     """(0.0, fsum(probs[:1]), fsum(probs[:2]), ...): each prefix sum correctly rounded.
 
-    Short supports take ``math.fsum`` of each prefix. Longer ones, where that
-    would cost O(m^2), sum exactly in one pass: each float is an integer over
-    a power of two, so the prefixes add up exactly as integers over the
-    largest denominator, and int / int rounds correctly, as ``math.fsum``
-    does. Both give the same bits.
+    One exact pass: each float is an integer over a power of two, so the
+    prefixes add up exactly as integers over the largest denominator, and
+    int / int rounds correctly, as ``math.fsum`` does.
     """
     out = [0.0]
-    if len(probs) <= _FSUM_PREFIX_MAX:
-        for k in range(1, len(probs) + 1):
-            out.append(math.fsum(probs[:k]))
-        return tuple(out)
     ratios = [p.as_integer_ratio() for p in probs]
     den = max(d for _, d in ratios)
     acc = 0

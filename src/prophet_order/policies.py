@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import DiscreteDistribution, Instance, Order, ValidationError, validate_instance, validate_order
 from .thresholds import (
@@ -272,8 +272,33 @@ class SingleThresholdPolicy(Policy):
         return ctx.current_value >= self.threshold
 
 
-# Every spec but ``threshold:<T>`` is a bare name.
-_PLAIN_SPECS = ("golden", "maxprob", "opt-exp", "opt-maxprob", "median", "half-emax", "inv-e")
+def _needs_order(name: str, order: Order | None) -> Order:
+    if order is None:
+        raise ValidationError(f"policy {name!r} is order-aware and needs an order")
+    return order
+
+
+# Every spec but ``threshold:<T>``: a bare name and how to build its policy
+# from (instance, order, baseline).
+_PLAIN_SPECS: dict[str, Callable[[Instance, Order | None, float], Policy]] = {
+    "golden": lambda inst, order, baseline: GoldenPolicy(inst),
+    "maxprob": lambda inst, order, baseline: MaxProbPolicy(inst, baseline),
+    "opt-exp": lambda inst, order, baseline: OptExpectationPolicy(
+        inst, _needs_order("opt-exp", order)
+    ),
+    "opt-maxprob": lambda inst, order, baseline: OptMaxProbPolicy(
+        inst, _needs_order("opt-maxprob", order), baseline
+    ),
+    "median": lambda inst, order, baseline: SingleThresholdPolicy(
+        classic_thresholds(inst).median_of_max, kind="median"
+    ),
+    "half-emax": lambda inst, order, baseline: SingleThresholdPolicy(
+        classic_thresholds(inst).half_expected_max, kind="half-emax"
+    ),
+    "inv-e": lambda inst, order, baseline: SingleThresholdPolicy(
+        classic_thresholds(inst).inv_e_quantile, kind="inv-e"
+    ),
+}
 
 
 def make_policy(
@@ -293,29 +318,12 @@ def make_policy(
         if not arg:
             raise ValidationError("policy 'threshold' needs a value, e.g. threshold:1.5")
         return SingleThresholdPolicy(float(arg))
-    if name not in _PLAIN_SPECS:
+    build = _PLAIN_SPECS.get(name)
+    if build is None:
         raise ValidationError(f"unknown policy spec {spec!r}")
     if sep:
         hint = "only 'threshold' takes one"
         if name in ("maxprob", "opt-maxprob"):
             hint = f"its baseline comes from the objective, set it with --obj winprob:{arg or 'THETA'}"
         raise ValidationError(f"policy {name!r} takes no suffix: {hint}")
-    if name == "golden":
-        return GoldenPolicy(instance)
-    if name == "maxprob":
-        return MaxProbPolicy(instance, baseline)
-    if name == "opt-exp":
-        if order is None:
-            raise ValidationError("policy 'opt-exp' is order-aware and needs an order")
-        return OptExpectationPolicy(instance, order)
-    if name == "opt-maxprob":
-        if order is None:
-            raise ValidationError("policy 'opt-maxprob' is order-aware and needs an order")
-        return OptMaxProbPolicy(instance, order, baseline)
-    classic = classic_thresholds(instance)
-    value = {
-        "median": classic.median_of_max,
-        "half-emax": classic.half_expected_max,
-        "inv-e": classic.inv_e_quantile,
-    }[name]
-    return SingleThresholdPolicy(value, kind=name)
+    return build(instance, order, baseline)

@@ -14,7 +14,6 @@ constant lambda, the unique root of x / (1 - x) = ln(1 / x).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -72,11 +71,10 @@ def suffix_max(dists: Iterable[DiscreteDistribution]) -> DiscreteDistribution:
     if not members:
         return DiscreteDistribution.point(0.0)
     grid = sorted({v for m in members for v in m.values})
-    cdf = [1.0] * len(grid)
-    for m in members:
-        values, table = m.values, m.cdf
-        cdf = [c * table[bisect_right(values, v)] for c, v in zip(cdf, grid)]
-    return DiscreteDistribution.from_cdf(grid, [c if c < 1.0 else 1.0 for c in cdf])
+    cdf = members[0].cdf_at(grid)
+    for m in members[1:]:
+        cdf = [c * f for c, f in zip(cdf, m.cdf_at(grid))]
+    return DiscreteDistribution._from_cdf(grid, [c if c < 1.0 else 1.0 for c in cdf])
 
 
 def win_factors(instance: Instance, order: Order, values: Iterable[float]) -> list[dict[float, float]]:

@@ -83,12 +83,23 @@ class TestExpectationAndCdf:
     def test_prob_below_is_the_fsum_prefix_bit_for_bit(self, m):
         # m atoms of 1/m added one by one drift off the correctly rounded
         # prefix sums (ten atoms of 0.1 reach 0.9999999999999999); the table
-        # holds the prefix sums math.fsum gives, on short and long supports.
+        # holds the prefix sums math.fsum gives.
         d = DiscreteDistribution(tuple((float(k), 1.0 / m) for k in range(m)))
         for k in range(m):
             assert d.prob_below(float(k)) == math.fsum([1.0 / m] * (k + 1))
             assert d.prob_below(float(k), strict=True) == math.fsum([1.0 / m] * k)
         assert d.prob_below(m - 1.0) == 1.0
+
+    def test_prob_below_is_the_fsum_prefix_with_subnormal_mass(self):
+        probs = (0.25, 5e-324, 0.75 - 1e-17, 1e-17)
+        d = DiscreteDistribution(tuple((float(k), p) for k, p in enumerate(probs)))
+        for k in range(len(probs)):
+            assert d.prob_below(float(k)).hex() == math.fsum(probs[: k + 1]).hex()
+
+    def test_cdf_at_is_prob_below_on_every_point(self):
+        d = DiscreteDistribution(((0.0, 0.1), (1.0, 0.2), (2.5, 0.7)))
+        xs = [-1.0, 0.0, 0.5, 1.0, 2.5, 3.0, math.inf, math.nan]
+        assert [c.hex() for c in d.cdf_at(xs)] == [d.prob_below(x).hex() for x in xs]
 
     def test_prob_below_monotone_and_mass_identity(self):
         rng = random.Random(11)
