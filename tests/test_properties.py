@@ -153,8 +153,8 @@ def test_prob_below_is_the_fsum_prefix_on_edge_laws(instance):
             at_most = math.fsum(p for v, p in box.outcomes if v <= x)
             assert box.prob_below(x, strict=True).hex() == below.hex(), x
             assert box.prob_below(x, strict=False).hex() == at_most.hex(), x
-        grid = sorted(x for x in probes if x == x)
-        assert [c.hex() for c in box.cdf_at(grid)] == [box.prob_below(x).hex() for x in grid]
+        xs = list(probes)
+        assert [c.hex() for c in box.cdf_at(xs)] == [box.prob_below(x).hex() for x in xs]
 
 
 @SETTINGS
