@@ -14,11 +14,8 @@ from .core import (
     Instance,
     Order,
     ValidationError,
-    ValueProfile,
-    draw_profile,
     load_instance,
     load_order,
-    sample_profile,
     save_instance,
     save_order,
     validate_instance,
@@ -36,7 +33,6 @@ from .evaluation import (
     continuation_audit,
     monte_carlo,
     order_ratio_sweep,
-    simulate_profile,
 )
 from .families import (
     CurvePoint,

@@ -1,4 +1,4 @@
-"""Finite discrete value distributions, box instances, arrival orders, and profiles.
+"""Finite discrete value distributions, box instances, and arrival orders.
 
 Everything downstream (thresholds, policies, exact evaluation) is built on the
 types in this module. All types are immutable after construction and safe to
@@ -242,19 +242,6 @@ class Order:
             raise ValidationError('order JSON must be {"order": [ids...]}') from None
 
 
-@dataclass(frozen=True)
-class ValueProfile:
-    """Realized values, indexed by box id."""
-
-    values: tuple[float, ...]
-
-    def __getitem__(self, box_id: int) -> float:
-        return self.values[box_id]
-
-    def max_value(self) -> float:
-        return max(self.values)
-
-
 def validate_instance(instance: Instance) -> None:
     """Reject any positive value that appears in two different boxes' supports.
 
@@ -279,16 +266,6 @@ def validate_order(instance: Instance, order: Order) -> None:
         raise ValidationError(
             f"order {list(order.sequence)} is not a permutation of 0..{instance.n - 1}"
         )
-
-
-def draw_profile(instance: Instance, rng: random.Random) -> ValueProfile:
-    """One independent draw per box from an existing generator."""
-    return ValueProfile(tuple(d.sample(rng) for d in instance.distributions))
-
-
-def sample_profile(instance: Instance, rng_seed: int) -> ValueProfile:
-    """Reproducible profile draw: the same seed always yields the same profile."""
-    return draw_profile(instance, random.Random(rng_seed))
 
 
 def load_instance(path: str) -> Instance:

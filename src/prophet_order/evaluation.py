@@ -24,7 +24,6 @@ from .core import (
     Instance,
     Order,
     ValidationError,
-    ValueProfile,
     validate_instance,
     validate_order,
 )
@@ -36,7 +35,7 @@ from .policies import (
     Policy,
     SingleThresholdPolicy,
 )
-from .thresholds import PHI, win_factors
+from .thresholds import PHI, win_factor
 
 DEFAULT_STATE_CAP = 1_000_000
 DEFAULT_PROFILE_CAP = 1_000_000
@@ -130,17 +129,16 @@ def eval_exact(
 ) -> EvalResult:
     """Exact performance of ``policy`` on ``order``, no sampling involved.
 
-    The workhorse is a forward pass over states (position, prefix max). Two
-    algebraically equivalent shortcuts avoid the state dimension when the
-    policy admits it: prefix-max-independent policies under expectation
-    factorize position by position, and fixed-threshold policies under
-    win-probability reduce to prefix/suffix products (everything the rule
-    passes is strictly below its threshold, hence below anything it accepts).
-    The general path refuses to build state spaces above ``state_cap`` (as
-    total support size times n); use :func:`monte_carlo` on such inputs.
-    A :class:`GoldenPolicy` first computes its thresholds from the back of
-    the order (:meth:`GoldenPolicy.warm`), where each suffix law extends the
-    one after it, so the forward pass finds them cached.
+    One forward pass over states (position, prefix max) computes every value
+    but one: a fixed-threshold policy under win probability reduces to
+    prefix/suffix products (everything the rule passes is strictly below its
+    threshold, hence below anything it accepts). A policy that does not read
+    the prefix max keeps a single state under expectation. The pass refuses
+    to track prefix maxima when total support size times n exceeds
+    ``state_cap``; use :func:`monte_carlo` on such inputs. A
+    :class:`GoldenPolicy` first computes its thresholds from the back of the
+    order (:meth:`GoldenPolicy.warm`), where each suffix law extends the one
+    after it, so the forward pass finds them cached.
     """
     _check_inputs(instance, order, objective)
     if isinstance(policy, GoldenPolicy):
@@ -148,49 +146,18 @@ def eval_exact(
     if isinstance(policy, SingleThresholdPolicy) and objective.is_winprob:
         value = _threshold_winprob(instance, order, policy.threshold, objective.baseline)
         return EvalResult(_clamp_prob(value), "exact-dp")
-    if not objective.is_winprob and not policy.uses_prefix_max:
-        return EvalResult(_stateless_expectation(instance, order, policy), "exact-dp")
     return _state_dp(instance, order, policy, objective, state_cap)
-
-
-def _stateless_expectation(instance: Instance, order: Order, policy: Policy) -> float:
-    seq = order.sequence
-    rem = _remaining_sets(order)
-    total = 0.0
-    pass_mass = 1.0
-    for pos in range(1, len(seq) + 1):
-        box = instance.box(seq[pos - 1])
-        accepted = 0.0
-        rejected = 0.0
-        for v, p in box.outcomes:
-            ctx = DecisionContext(pos, v, 0.0, rem[pos - 1])
-            if policy.decide(ctx):
-                accepted += p * v
-            else:
-                rejected += p
-        total += pass_mass * accepted
-        pass_mass *= rejected
-        if pass_mass == 0.0:
-            break
-    return total
 
 
 def _threshold_winprob(instance: Instance, order: Order, threshold: float, baseline: float) -> float:
     seq = order.sequence
-    n = len(seq)
-    winnable = sorted(
-        {v for d in instance.distributions for v in d.values if v >= threshold and v > baseline}
-    )
-    if not winnable:
-        return 0.0
-    factors = win_factors(instance, order, winnable)
     total = 0.0
     pass_mass = 1.0
-    for pos in range(1, n + 1):
+    for pos in range(1, len(seq) + 1):
         box = instance.box(seq[pos - 1])
         for v, p in box.outcomes:
             if v >= threshold and v > baseline:
-                total += pass_mass * p * factors[pos][v]
+                total += pass_mass * p * win_factor(instance, order, pos, v)
         pass_mass *= box.prob_below(threshold, strict=True)
         if pass_mass == 0.0:
             break
@@ -205,55 +172,43 @@ def _state_dp(
     state_cap: int,
 ) -> EvalResult:
     n = instance.n
-    support_total = sum(len(d.outcomes) for d in instance.distributions)
-    if support_total * n > state_cap:
-        raise CapExceededError(
-            f"state space {support_total} values x {n} positions exceeds cap {state_cap}; "
-            "use monte_carlo for an estimate"
-        )
+    winprob = objective.is_winprob
+    tracked = winprob or policy.uses_prefix_max
+    if tracked:
+        support_total = sum(len(d.outcomes) for d in instance.distributions)
+        if support_total * n > state_cap:
+            raise CapExceededError(
+                f"state space {support_total} values x {n} positions exceeds cap {state_cap}; "
+                "use monte_carlo for an estimate"
+            )
     seq = order.sequence
     rem = _remaining_sets(order)
-    winprob = objective.is_winprob
+    decide = policy.decide
     theta0 = objective.baseline if winprob else 0.0
-    factors = (
-        win_factors(instance, order, (v for d in instance.distributions for v in d.values))
-        if winprob
-        else None
-    )
     states: dict[float, float] = {theta0: 1.0}
     total = 0.0
     for pos in range(1, n + 1):
-        box = instance.box(seq[pos - 1])
-        outcomes = box.outcomes
+        outcomes = instance.box(seq[pos - 1]).outcomes
         remaining = rem[pos - 1]
+        factors: dict[float, float] = {}  # P[all later boxes < v], per accepted v
         nxt: dict[float, float] = {}
         for theta, mass in states.items():
             for v, p in outcomes:
-                ctx = DecisionContext(pos, v, theta, remaining)
-                if policy.decide(ctx):
-                    if winprob:
-                        if v > theta:
-                            total += mass * p * factors[pos][v]
-                    else:
+                if decide(DecisionContext(pos, v, theta, remaining)):
+                    if not winprob:
                         total += mass * p * v
+                    elif v > theta:
+                        factor = factors.get(v)
+                        if factor is None:
+                            factor = factors[v] = win_factor(instance, order, pos, v)
+                        total += mass * p * factor
                 else:
-                    key = theta if v <= theta else v
+                    key = v if v > theta and tracked else theta
                     nxt[key] = nxt.get(key, 0.0) + mass * p
         states = nxt
         if not states:
             break
     return EvalResult(_clamp_prob(total) if winprob else total, "exact-dp")
-
-
-def simulate_profile(
-    instance: Instance,
-    order: Order,
-    policy: Policy,
-    objective: Objective,
-    profile: ValueProfile,
-) -> float:
-    """Payoff of one sequential run on a fixed profile (the oracle walker)."""
-    return _walk(order.sequence, _remaining_sets(order), policy, objective, profile.values)
 
 
 def _walk(
@@ -454,31 +409,32 @@ def continuation_audit(instance: Instance, order: Order) -> list[ContinuationAud
     dominates beta_t, and that beta_t >= E[y_t] / phi^2.
 
     ``alg_suffix_value`` is the exact expected value of the adaptive policy run
-    on positions t+1..n alone; the t = n row is the (0, 0, 0) boundary.
+    on positions t+1..n alone; the t = n row is the (0, 0, 0) boundary. These
+    values come from one walk from the back of the order: the value from
+    position t on is E[y_t if y_t >= tau_t else (value from t+1 on)], where
+    tau_t depends only on the boxes after t, so it is the same threshold the
+    policy uses on the suffix as an instance of its own.
     """
     validate_order(instance, order)
     golden = GoldenPolicy(instance)
     golden.warm(order)
-    expectation = Objective.expectation()
+    seq = order.sequence
     rows: list[ContinuationAuditRow] = []
-    for t in range(1, instance.n + 1):
-        suffix_ids = order.sequence[t:]
-        triple = golden.triple(frozenset(suffix_ids))
-        if suffix_ids:
-            sub = Instance(tuple(instance.box(b) for b in suffix_ids))
-            alg_value = eval_exact(
-                sub, Order.identity(sub.n), GoldenPolicy(sub), expectation
-            ).value
-        else:
-            alg_value = 0.0
+    after = 0.0  # value of the policy on positions t+1..n
+    for t in range(instance.n, 0, -1):
+        triple = golden.triple(frozenset(seq[t:]))
         rows.append(
             ContinuationAuditRow(
                 t=t,
-                alg_suffix_value=alg_value,
+                alg_suffix_value=after,
                 beta=triple.beta,
                 alpha=triple.alpha,
-                ok_alg_vs_beta=alg_value >= triple.beta - AUDIT_SLACK,
+                ok_alg_vs_beta=after >= triple.beta - AUDIT_SLACK,
                 ok_beta_vs_alpha=triple.beta >= triple.alpha / PHI - AUDIT_SLACK,
             )
         )
+        after = math.fsum(
+            p * (v if v >= triple.tau else after) for v, p in instance.box(seq[t - 1]).outcomes
+        )
+    rows.reverse()
     return rows

@@ -26,7 +26,7 @@ from .thresholds import (
     classic_thresholds,
     suffix_max,
     threshold_triple,
-    win_factors,
+    win_factor,
 )
 
 
@@ -222,7 +222,12 @@ class OptMaxProbPolicy(Policy):
         seq = order.sequence
         grid = sorted({baseline} | {v for d in instance.distributions for v in d.values})
         self._grid = grid
-        self._win_factor = win_factor = win_factors(instance, order, grid)
+        # Accepting at position t reads P[all later boxes < v] only for the
+        # values v of the box at t.
+        self._win_factor = win = [{}] + [
+            {v: win_factor(instance, order, t, v) for v in instance.box(seq[t - 1]).values}
+            for t in range(1, n + 1)
+        ]
 
         # value_table[t] maps prefix max -> win probability of optimal play at
         # positions t..n; row n+1 is identically 0.
@@ -235,7 +240,7 @@ class OptMaxProbPolicy(Policy):
             for theta in grid:
                 total = 0.0
                 for v, p in box.outcomes:
-                    payoff = win_factor[t][v] if v > theta else 0.0
+                    payoff = win[t][v] if v > theta else 0.0
                     cont = nxt[theta if v <= theta else v]
                     total += p * (payoff if payoff >= cont else cont)
                 row[theta] = total

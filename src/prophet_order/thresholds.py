@@ -77,23 +77,19 @@ def suffix_max(dists: Iterable[DiscreteDistribution]) -> DiscreteDistribution:
     return DiscreteDistribution._from_cdf(grid, [c if c < 1.0 else 1.0 for c in cdf])
 
 
-def win_factors(instance: Instance, order: Order, values: Iterable[float]) -> list[dict[float, float]]:
-    """factors[t][v] = P[every box after position t realizes strictly below v].
+def win_factor(instance: Instance, order: Order, position: int, value: float) -> float:
+    """P[every box after ``position`` (1-based) of ``order`` realizes strictly below ``value``].
 
-    Positions are 1-based; row n is 1 everywhere and row 0 is left empty. Each
-    row is the next row times one box's strict CDF, built from the back. Keep
-    that multiplication order: ``families.maxprob_lb`` tunes its
-    probabilities so that exactly this product lands on lambda.
+    The product runs from the last box back, one strict CDF at a time, and is
+    1.0 after the last position. Keep that multiplication order:
+    ``families.maxprob_lb`` tunes its probabilities so that exactly this
+    product lands on lambda. A call costs one lookup per later box.
     """
-    vals = sorted(set(values))
-    n = instance.n
-    factors: list[dict[float, float]] = [dict() for _ in range(n + 1)]
-    factors[n] = {v: 1.0 for v in vals}
-    for t in range(n - 1, 0, -1):
-        box = instance.box(order.sequence[t])
-        nxt = factors[t + 1]
-        factors[t] = {v: nxt[v] * box.prob_below(v, strict=True) for v in vals}
-    return factors
+    dists = instance.distributions
+    acc = 1.0
+    for bid in reversed(order.sequence[position:]):
+        acc *= dists[bid].prob_below(value, strict=True)
+    return acc
 
 
 def expected_surplus(dist: DiscreteDistribution, c: float) -> float:

@@ -14,7 +14,15 @@ import random
 from functools import lru_cache
 from typing import Callable
 
-from prophet_order import DecisionContext, DiscreteDistribution, Instance, Order, Policy, suffix_max
+from prophet_order import (
+    DecisionContext,
+    DiscreteDistribution,
+    Instance,
+    Objective,
+    Order,
+    Policy,
+    suffix_max,
+)
 
 GUARANTEE_CORPUS_SEED = 0x5EED_0001
 ORACLE_CORPUS_SEED = 0x5EED_0002
@@ -31,6 +39,33 @@ class FunctionPolicy(Policy):
 
     def decide(self, ctx: DecisionContext) -> bool:
         return self._fn(ctx)
+
+
+def draw_profile(instance: Instance, rng: random.Random) -> tuple[float, ...]:
+    """One independent draw per box, indexed by box id."""
+    return tuple(d.sample(rng) for d in instance.distributions)
+
+
+def sample_profile(instance: Instance, rng_seed: int) -> tuple[float, ...]:
+    """Reproducible profile draw: the same seed always yields the same profile."""
+    return draw_profile(instance, random.Random(rng_seed))
+
+
+def simulate_profile(
+    order: Order, policy: Policy, objective: Objective, values: tuple[float, ...]
+) -> float:
+    """Payoff of one sequential run on fixed realized values (indexed by box id)."""
+    seq = order.sequence
+    winprob = objective.is_winprob
+    prefix = objective.baseline if winprob else 0.0
+    for pos, bid in enumerate(seq, start=1):
+        v = values[bid]
+        if policy.decide(DecisionContext(pos, v, prefix, frozenset(seq[pos:]))):
+            if not winprob:
+                return v
+            return 1.0 if v > prefix and all(values[b] < v for b in seq[pos:]) else 0.0
+        prefix = max(prefix, v)
+    return 0.0
 
 
 def random_instance(

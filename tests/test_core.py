@@ -11,16 +11,14 @@ from prophet_order import (
     Instance,
     Order,
     ValidationError,
-    draw_profile,
     load_instance,
     load_order,
-    sample_profile,
     save_instance,
     save_order,
     validate_instance,
     validate_order,
 )
-from tests.helpers import random_instance
+from tests.helpers import draw_profile, random_instance, sample_profile
 
 
 class TestFromPairs:
@@ -193,8 +191,7 @@ class TestValidation:
 class TestSampling:
     def test_point_masses_sample_deterministically(self):
         inst = Instance.from_supports([[(1.0, 1.0)], [(2.0, 1.0)]])
-        profile = sample_profile(inst, rng_seed=999)
-        assert profile.values == (1.0, 2.0)
+        assert sample_profile(inst, rng_seed=999) == (1.0, 2.0)
 
     def test_same_seed_same_profile(self):
         rng = random.Random(4)
@@ -208,7 +205,7 @@ class TestSampling:
         gen = random.Random(6)
         for _ in range(200):
             profile = draw_profile(inst, gen)
-            for bid, v in enumerate(profile.values):
+            for bid, v in enumerate(profile):
                 assert v in supports[bid]
 
     def test_law_of_large_numbers(self):

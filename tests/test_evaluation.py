@@ -5,6 +5,7 @@ import random
 import pytest
 
 from prophet_order import (
+    LAMBDA,
     PHI,
     CapExceededError,
     GoldenPolicy,
@@ -23,8 +24,10 @@ from prophet_order import (
     order_ratio_sweep,
     example1,
     make_policy,
+    maxprob_lb,
 )
 from prophet_order import evaluation
+from prophet_order.thresholds import win_factor
 from tests.helpers import FunctionPolicy, oracle_corpus, random_instance, random_order
 
 
@@ -90,6 +93,32 @@ class TestEvalExactExamples:
             inst, Order((0, 1)), MaxProbPolicy(inst, 0.0), Objective.winprob(0.0)
         )
         assert res.value == 0.5
+
+    def test_stateless_rule_stays_outside_the_state_cap(self):
+        # Under expectation a rule that ignores the prefix max keeps one state,
+        # so the cap on tracked states does not apply to it.
+        rng = random.Random(61)
+        inst = random_instance(rng, 4, 3)
+        order = Order.identity(inst.n)
+        exp = Objective.expectation()
+        capped = eval_exact(inst, order, GoldenPolicy(inst), exp, state_cap=1).value
+        assert capped == eval_exact(inst, order, GoldenPolicy(inst), exp).value
+        assert abs(capped - brute_force(inst, order, GoldenPolicy(inst), exp).value) <= 1e-12
+
+    def test_maxprob_lb_decreasing_computes_one_win_factor(self, monkeypatch):
+        # The rule accepts the deterministic first box; only that pair is paid.
+        fam = maxprob_lb(400)
+        calls = []
+
+        def recording(*args):
+            calls.append(args[2:])
+            return win_factor(*args)
+
+        monkeypatch.setattr(evaluation, "win_factor", recording)
+        inst = fam.instance
+        res = eval_exact(inst, fam.order("decreasing"), MaxProbPolicy(inst, 0.0), Objective.winprob(0.0))
+        assert calls == [(1, 0.5)]
+        assert abs(res.value - LAMBDA) <= 1e-12
 
     def test_state_cap_guard(self):
         rng = random.Random(61)
@@ -335,3 +364,32 @@ class TestContinuationAudit:
             inst = random_instance(rng, 5, 3)
             order = random_order(rng, inst.n)
             assert all(row.passed for row in continuation_audit(inst, order))
+
+    def test_suffix_values_are_exact_values_of_the_suffix(self):
+        rng = random.Random(67)
+        exp = Objective.expectation()
+        for _ in range(40):
+            inst = random_instance(rng, 6, 4)
+            order = random_order(rng, inst.n)
+            for row in continuation_audit(inst, order):
+                suffix = order.sequence[row.t:]
+                if not suffix:
+                    assert row.alg_suffix_value == 0.0
+                    continue
+                sub = Instance(tuple(inst.box(b) for b in suffix))
+                want = eval_exact(sub, Order.identity(sub.n), GoldenPolicy(sub), exp).value
+                assert abs(row.alg_suffix_value - want) <= 1e-12, (row.t, order)
+
+    def test_makes_no_eval_exact_call(self, monkeypatch):
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return eval_exact(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "eval_exact", recording)
+        rng = random.Random(68)
+        inst = random_instance(rng, 6, 4)
+        rows = continuation_audit(inst, random_order(rng, inst.n))
+        assert len(rows) == inst.n and calls == []
+

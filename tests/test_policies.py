@@ -19,11 +19,9 @@ from prophet_order import (
     eval_exact,
     make_policy,
     opt_expectation_thresholds,
-    simulate_profile,
-    ValueProfile,
 )
 from prophet_order import policies
-from tests.helpers import random_instance, random_order
+from tests.helpers import random_instance, random_order, simulate_profile
 
 
 def ctx(position, value, prefix=0.0, remaining=()):
@@ -332,9 +330,7 @@ class TestSingleWitnessEvents:
                 if not ok:
                     continue
                 values[seq[s - 1]] = min(witness_vals)
-                payoff = simulate_profile(
-                    inst, order, pol, Objective.winprob(0.0), ValueProfile(tuple(values))
-                )
+                payoff = simulate_profile(order, pol, Objective.winprob(0.0), tuple(values))
                 assert payoff == 1.0, (inst, order, s, values)
                 checked += 1
         assert checked >= 30

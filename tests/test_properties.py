@@ -24,6 +24,7 @@ from prophet_order import (
     suffix_max,
     threshold_triple,
 )
+from prophet_order.thresholds import win_factor
 from tests.helpers import FunctionPolicy, enumerate_max_law
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -127,6 +128,21 @@ def test_exact_equals_brute_force_on_edge_laws(case, baseline):
             exact = eval_exact(instance, order, policy, objective).value
             brute = brute_force(instance, order, policy, objective).value
             assert abs(exact - brute) <= 1e-12 * max(1.0, abs(exact)), (name, objective)
+
+
+@SETTINGS
+@given(edge_cases())
+def test_win_factor_matches_enumeration_on_edge_laws(case):
+    instance, order = case
+    seq = order.sequence
+    values = sorted({v for d in instance.distributions for v in d.values})
+    probes = values + [values[-1] + 1.0] + [(a + b) / 2.0 for a, b in zip(values, values[1:])]
+    for t in range(1, instance.n + 1):
+        later = [instance.box(b) for b in seq[t:]]
+        law = enumerate_max_law(later) if later else ((0.0, 1.0),)
+        for v in probes:
+            oracle = sum(p for u, p in law if u < v) if later else 1.0
+            assert abs(win_factor(instance, order, t, v) - oracle) <= 1e-12, (t, v)
 
 
 @SETTINGS

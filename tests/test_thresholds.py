@@ -9,14 +9,18 @@ from prophet_order import (
     PHI,
     DiscreteDistribution,
     Instance,
+    Order,
     classic_thresholds,
     expected_surplus,
+    maxprob_lb,
     solve_beta,
     solve_beta_bisection,
     solve_lambda,
     suffix_max,
     threshold_triple,
 )
+from prophet_order.families import _seq_pow
+from prophet_order.thresholds import win_factor
 from tests.helpers import enumerate_max_law, random_instance, random_suffix_law
 
 
@@ -212,3 +216,39 @@ class TestClassicThresholds:
             [[(1.0, 1.0)], [(0.0, 1 - eps), (1 / eps, eps)]]
         )
         assert classic_thresholds(inst).half_expected_max == 0.75
+
+
+class TestWinFactor:
+    @pytest.mark.parametrize("n", [2, 50, 200, 400])
+    def test_maxprob_lb_product_is_the_tuned_one_bit_for_bit(self, n):
+        # maxprob_lb nudges q until its sequential product lands on lambda; the
+        # win factor of the deterministic first box must be that same product.
+        fam = maxprob_lb(n)
+        q = 1.0 - fam.parameters["eps"]
+        inst = fam.instance
+        assert all(inst.box(b).prob_below(0.5, strict=True) == q for b in range(1, n + 1))
+        got = win_factor(inst, fam.order("decreasing"), 1, 0.5)
+        assert got.hex() == _seq_pow(q, n).hex()
+
+    def test_strict_and_one_after_the_last_box(self):
+        inst = Instance.from_supports([[(1.0, 1.0)], [(0.0, 0.25), (2.0, 0.75)], [(3.0, 0.5), (4.0, 0.5)]])
+        order = Order((0, 1, 2))
+        assert win_factor(inst, order, 3, 0.0) == 1.0
+        assert win_factor(inst, order, 2, 3.0) == 0.0
+        assert win_factor(inst, order, 2, 4.0) == 0.5
+        assert win_factor(inst, order, 1, 2.0) == 0.0
+        assert win_factor(inst, order, 1, 5.0) == 1.0
+        assert win_factor(inst, Order((2, 0, 1)), 1, 2.5) == 1.0
+
+    def test_product_runs_from_the_last_box_back(self):
+        rng = random.Random(47)
+        for _ in range(50):
+            inst = random_instance(rng, 6, 4)
+            seq = tuple(rng.sample(range(inst.n), inst.n))
+            for t in range(1, inst.n + 1):
+                for v in {v for d in inst.distributions for v in d.values}:
+                    want = 1.0
+                    for b in reversed(seq[t:]):
+                        want *= inst.box(b).prob_below(v, strict=True)
+                    assert win_factor(inst, Order(seq), t, v).hex() == want.hex()
+
