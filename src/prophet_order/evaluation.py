@@ -20,13 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (
-    Instance,
-    Order,
-    ValidationError,
-    validate_instance,
-    validate_order,
-)
+from .core import Instance, Order, ValidationError, validate_instance, validate_order
 from .policies import (
     DecisionContext,
     GoldenPolicy,
@@ -104,10 +98,15 @@ class EvalResult:
         return out
 
 
-def _check_inputs(instance: Instance, order: Order, objective: Objective) -> None:
+def _check_inputs(instance: Instance, order: Order, policy: Policy, objective: Objective) -> None:
     validate_order(instance, order)
     if objective.is_winprob:
         validate_instance(instance)
+    # A rule built for one instance (or order) silently misreads another.
+    for name, given in (("instance", instance), ("order", order)):
+        built = getattr(policy, name, given)
+        if built is not given and built != given:
+            raise ValidationError(f"the {policy.kind} policy was built for another {name}")
 
 
 def _remaining_sets(order: Order) -> list[frozenset[int]]:
@@ -140,7 +139,7 @@ def eval_exact(
     order (:meth:`GoldenPolicy.warm`), where each suffix law extends the one
     after it, so the forward pass finds them cached.
     """
-    _check_inputs(instance, order, objective)
+    _check_inputs(instance, order, policy, objective)
     if isinstance(policy, GoldenPolicy):
         policy.warm(order)
     if isinstance(policy, SingleThresholdPolicy) and objective.is_winprob:
@@ -247,7 +246,7 @@ def brute_force(
 
     Independent of :func:`eval_exact`; serves as its oracle on small inputs.
     """
-    _check_inputs(instance, order, objective)
+    _check_inputs(instance, order, policy, objective)
     n_profiles = math.prod(len(d.outcomes) for d in instance.distributions)
     if n_profiles > profile_cap:
         raise CapExceededError(
@@ -278,7 +277,7 @@ def monte_carlo(
     """Sampled estimate with standard error; reproducible from the seed."""
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
-    _check_inputs(instance, order, objective)
+    _check_inputs(instance, order, policy, objective)
     rng = random.Random(seed)
     seq = order.sequence
     rem = _remaining_sets(order)

@@ -210,6 +210,8 @@ def single_threshold_family(n: int, T: int) -> FamilyInstance:
 
 def threshold_for_alpha(n: int, alpha: float) -> int:
     """Integer threshold T with (n - T)/sqrt(n) closest to the requested alpha."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     return min(n, max(1, n - round(alpha * math.sqrt(n))))
 
 

@@ -1,11 +1,11 @@
 """Stopping rules behind one decision interface.
 
 Order-unaware policies (adaptive golden-ratio thresholds, max-probability rule)
-read only the set of boxes still to come; order-aware optima (backward
-induction, the win-probability DP) are built for one fixed order and read the
-position. The context carries no order, so no policy can learn it. Every
-decision is a deterministic function of the :class:`DecisionContext`; internal
-caches are pure memoization keyed on context fields.
+read only the set of boxes still to come; order-aware optima are built for one
+fixed order by backward induction and keep thresholds per position (two for
+win probability). The context carries no order, so no policy can learn it.
+Every decision is a deterministic function of the :class:`DecisionContext`;
+internal caches are pure memoization keyed on context fields.
 
 Tie-breaking is uniform across policies: accept on threshold equality. The
 max-probability rule additionally requires the current value to strictly
@@ -16,7 +16,6 @@ rejected.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import Callable, NamedTuple
 
 from .core import DiscreteDistribution, Instance, Order, ValidationError, validate_instance, validate_order
@@ -196,11 +195,16 @@ class OptExpectationPolicy(Policy):
 class OptMaxProbPolicy(Policy):
     """The optimal order-aware rule for catching the maximum value.
 
-    Solves the finite DP over states (position, prefix max), where the prefix
-    max ranges over the baseline and every support value. Accepting value v at
-    position t wins with probability [v > prefix_max] * P[all later boxes < v];
-    the rule accepts iff that payoff is >= the continuation value (ties go to
-    accept). ``win_probability`` is the DP value at the start state.
+    Backward induction over states (position, prefix max), the prefix max
+    ranging over the baseline and every support value. Accepting v at position
+    t wins w.p. [v > prefix_max] * P[all later boxes < v]; the rule accepts iff
+    that payoff is >= the continuation value (ties go to accept), and
+    ``win_probability`` is the value at the start state. Only one row of
+    values is kept. Bit for bit, a row does not increase in the prefix max and
+    the payoff does not decrease in v, so the rule is two thresholds per
+    position: a new maximum v is taken iff v >= ``take_from[t]``, any other
+    value iff the prefix max is >= ``dead_from[t]``, the least grid point from
+    which positions t+1..n win nothing.
 
     Requires a unique-max-valid instance (no positive value shared between two
     boxes).
@@ -221,45 +225,41 @@ class OptMaxProbPolicy(Policy):
         n = instance.n
         seq = order.sequence
         grid = sorted({baseline} | {v for d in instance.distributions for v in d.values})
-        self._grid = grid
-        # Accepting at position t reads P[all later boxes < v] only for the
-        # values v of the box at t.
-        self._win_factor = win = [{}] + [
-            {v: win_factor(instance, order, t, v) for v in instance.box(seq[t - 1]).values}
-            for t in range(1, n + 1)
-        ]
-
-        # value_table[t] maps prefix max -> win probability of optimal play at
-        # positions t..n; row n+1 is identically 0.
-        value_table: list[dict[float, float]] = [dict() for _ in range(n + 2)]
-        value_table[n + 1] = {v: 0.0 for v in grid}
+        self.take_from = take_from = [math.inf] * (n + 1)  # index 0 unused
+        self.dead_from = dead_from = [math.inf] * n + [grid[0]]
+        # nxt maps prefix max -> win probability of optimal play at positions
+        # t+1..n; after position n it is identically 0.
+        nxt = dict.fromkeys(grid, 0.0)
         for t in range(n, 0, -1):
+            # Accepting at position t reads P[all later boxes < v] only for the
+            # values v of the box at t.
             box = instance.box(seq[t - 1])
-            nxt = value_table[t + 1]
+            outcomes = [(v, p, win_factor(instance, order, t, v)) for v, p in box.outcomes]
+            for v, _, win in reversed(outcomes):
+                if win >= nxt[v]:
+                    take_from[t] = v
             row = {}
-            for theta in grid:
+            for theta in reversed(grid):
                 total = 0.0
-                for v, p in box.outcomes:
-                    payoff = win[t][v] if v > theta else 0.0
+                for v, p, win in outcomes:
+                    payoff = win if v > theta else 0.0
                     cont = nxt[theta if v <= theta else v]
                     total += p * (payoff if payoff >= cont else cont)
                 row[theta] = total
-            value_table[t] = row
-        self.value_table = value_table
-        self.win_probability = value_table[1][baseline]
+                if total == 0.0:
+                    dead_from[t - 1] = theta
+            nxt = row
+        self.win_probability = nxt[baseline]
 
     def decide(self, ctx: DecisionContext) -> bool:
-        t = ctx.position
         v = ctx.current_value
         theta = max(ctx.prefix_max, self.baseline)
-        if theta not in self.value_table[t + 1]:
-            # The value function is constant between grid points (only
-            # comparisons against support values matter), so snapping the
-            # prefix max down to the grid is exact.
-            theta = self._grid[bisect_right(self._grid, theta) - 1]
-        payoff = self._win_factor[t][v] if v > ctx.prefix_max and v > self.baseline else 0.0
-        cont = self.value_table[t + 1][theta if v <= theta else v]
-        return payoff >= cont
+        if v > theta:
+            return v >= self.take_from[ctx.position]
+        # A value that is no new maximum wins nothing: take it iff waiting
+        # wins nothing either. dead_from is a grid point, so an off-grid
+        # prefix max compares as its snap down to the grid would.
+        return theta >= self.dead_from[ctx.position]
 
 
 class SingleThresholdPolicy(Policy):

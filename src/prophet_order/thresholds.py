@@ -14,6 +14,7 @@ constant lambda, the unique root of x / (1 - x) = ln(1 / x).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -192,9 +193,5 @@ def classic_thresholds(instance: Instance) -> ClassicThresholds:
 
 
 def _lower_quantile(law: DiscreteDistribution, q: float) -> float:
-    acc = 0.0
-    for v, p in law.outcomes:
-        acc += p
-        if acc >= q:
-            return v
-    return law.outcomes[-1][0]
+    """The least support value whose CDF, read off the law's table, is >= q (else the largest)."""
+    return law.values[min(bisect_left(law.cdf, q, 1), len(law.values)) - 1]

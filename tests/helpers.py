@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Callable
 
@@ -19,10 +20,14 @@ from prophet_order import (
     DiscreteDistribution,
     Instance,
     Objective,
+    OptMaxProbPolicy,
     Order,
     Policy,
     suffix_max,
+    validate_instance,
+    validate_order,
 )
+from prophet_order.thresholds import win_factor
 
 GUARANTEE_CORPUS_SEED = 0x5EED_0001
 ORACLE_CORPUS_SEED = 0x5EED_0002
@@ -39,6 +44,77 @@ class FunctionPolicy(Policy):
 
     def decide(self, ctx: DecisionContext) -> bool:
         return self._fn(ctx)
+
+
+class TableOptMaxProbPolicy(Policy):
+    """Reference for ``OptMaxProbPolicy``: the optimum with its whole value table.
+
+    ``value_table[t]`` maps each grid point (the baseline and every support
+    value) to the win probability of optimal play at positions t..n; row n+1
+    is identically 0. ``decide`` reads the table, snapping a prefix max that
+    is off the grid down to it, and compares the payoff with the continuation
+    value, ties going to accept.
+    """
+
+    kind = "opt-maxprob-table"
+    uses_prefix_max = True
+
+    def __init__(self, instance: Instance, order: Order, baseline: float = 0.0):
+        validate_instance(instance)
+        validate_order(instance, order)
+        self.baseline = baseline
+        n = instance.n
+        seq = order.sequence
+        grid = sorted({baseline} | {v for d in instance.distributions for v in d.values})
+        self._grid = grid
+        self._win_factor = win = [{}] + [
+            {v: win_factor(instance, order, t, v) for v in instance.box(seq[t - 1]).values}
+            for t in range(1, n + 1)
+        ]
+        value_table: list[dict[float, float]] = [dict() for _ in range(n + 2)]
+        value_table[n + 1] = {v: 0.0 for v in grid}
+        for t in range(n, 0, -1):
+            box = instance.box(seq[t - 1])
+            nxt = value_table[t + 1]
+            row = {}
+            for theta in grid:
+                total = 0.0
+                for v, p in box.outcomes:
+                    payoff = win[t][v] if v > theta else 0.0
+                    cont = nxt[theta if v <= theta else v]
+                    total += p * (payoff if payoff >= cont else cont)
+                row[theta] = total
+            value_table[t] = row
+        self.value_table = value_table
+        self.win_probability = value_table[1][baseline]
+
+    def decide(self, ctx: DecisionContext) -> bool:
+        t = ctx.position
+        v = ctx.current_value
+        theta = max(ctx.prefix_max, self.baseline)
+        if theta not in self.value_table[t + 1]:
+            theta = self._grid[bisect_right(self._grid, theta) - 1]
+        payoff = self._win_factor[t][v] if v > ctx.prefix_max and v > self.baseline else 0.0
+        cont = self.value_table[t + 1][theta if v <= theta else v]
+        return payoff >= cont
+
+
+def assert_decides_as_the_table(inst, order, baseline):
+    """``OptMaxProbPolicy`` agrees with the full-table reference on every
+    position, every value of the box there, and prefix maxima on the grid,
+    between grid points and above it; the win probabilities agree bit for bit."""
+    pol = OptMaxProbPolicy(inst, order, baseline)
+    ref = TableOptMaxProbPolicy(inst, order, baseline)
+    assert pol.win_probability.hex() == ref.win_probability.hex()
+    grid = sorted({baseline} | {v for d in inst.distributions for v in d.values})
+    prefixes = grid + [(a + b) / 2.0 for a, b in zip(grid, grid[1:])] + [grid[-1] + 1.0]
+    seq = order.sequence
+    for t in range(1, inst.n + 1):
+        remaining = frozenset(seq[t:])
+        for v in inst.box(seq[t - 1]).values:
+            for prefix in prefixes:
+                c = DecisionContext(t, v, prefix, remaining)
+                assert pol.decide(c) == ref.decide(c), (t, v, prefix, baseline)
 
 
 def draw_profile(instance: Instance, rng: random.Random) -> tuple[float, ...]:

@@ -121,6 +121,14 @@ class TestEvaluate:
         assert code == 2
         assert "sum" in err
 
+    def test_directory_as_instance_exits_2(self, capsys, tmp_path):
+        # an IsADirectoryError used to escape as a traceback with exit 1
+        code, out, err = run(
+            capsys,
+            ["evaluate", "-i", str(tmp_path), "-o", "0", "-p", "golden", "--obj", "expectation"],
+        )
+        assert_clean_exit_2(code, out, err)
+
     @pytest.mark.parametrize("data", [{"boxes": [1]}, {"boxes": [{"support": [[1]]}]}])
     def test_malformed_instance_json_exits_2(self, capsys, tmp_path, data):
         path = tmp_path / "malformed.json"
@@ -312,6 +320,12 @@ class TestReproduce:
         code, out, err = run(capsys, ["reproduce", "maxprob-lb", "--n", "50000"])
         assert_clean_exit_2(code, out, err)
         assert "n=50000" in err
+
+    def test_single_threshold_negative_n_exits_2(self, capsys):
+        # used to print "math domain error" from the square root of n
+        code, out, err = run(capsys, ["reproduce", "single-threshold", "--n", "-5"])
+        assert_clean_exit_2(code, out, err)
+        assert "n=-5" in err
 
     def test_golden_lb_step_below_float_spacing_exits_2(self, capsys):
         # PHI - 1e-300 == PHI: without the box-count bound this never returns.

@@ -304,6 +304,41 @@ class TestOrderRatioSweep:
         assert rows[0].endswith("exact-dp")
 
 
+class TestPolicyBuiltForAnotherInput:
+    """A rule built for one instance or order misreads another; every route refuses it."""
+
+    INST = Instance.from_supports([[(1.0, 0.5), (2.0, 0.5)], [(0.0, 0.5), (3.0, 0.5)]])
+    OTHER = Instance.from_supports([[(1.5, 1.0)], [(0.0, 0.5), (4.0, 0.5)]])
+
+    def test_eval_exact_rejects_another_order(self):
+        # this used to return a number without a word
+        pol = OptExpectationPolicy(self.INST, Order((0, 1)))
+        with pytest.raises(ValidationError, match="another order"):
+            eval_exact(self.INST, Order((1, 0)), pol, Objective.expectation())
+
+    def test_brute_force_rejects_another_order(self):
+        pol = OptMaxProbPolicy(self.INST, Order((0, 1)), 0.0)
+        with pytest.raises(ValidationError, match="another order"):
+            brute_force(self.INST, Order((1, 0)), pol, Objective.winprob(0.0))
+
+    def test_monte_carlo_rejects_another_instance(self):
+        pol = GoldenPolicy(self.OTHER)
+        with pytest.raises(ValidationError, match="another instance"):
+            monte_carlo(self.INST, Order((0, 1)), pol, Objective.expectation(), 10, 0)
+
+    def test_order_ratio_sweep_rejects_another_instance(self):
+        pol = MaxProbPolicy(self.OTHER, 0.0)
+        with pytest.raises(ValidationError, match="another instance"):
+            order_ratio_sweep(self.INST, pol, Objective.winprob(0.0))
+
+    def test_equal_copies_are_accepted(self):
+        copy = Instance.from_supports([d.outcomes for d in self.INST.distributions])
+        order = Order((1, 0))
+        pol = OptMaxProbPolicy(copy, Order((1, 0)), 0.0)
+        value = eval_exact(self.INST, order, pol, Objective.winprob(0.0)).value
+        assert value == pytest.approx(pol.win_probability, abs=1e-12)
+
+
 class TestResultRanges:
     def test_expectation_nonnegative_and_winprob_in_unit_interval(self):
         rng = random.Random(67)

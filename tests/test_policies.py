@@ -21,7 +21,13 @@ from prophet_order import (
     opt_expectation_thresholds,
 )
 from prophet_order import policies
-from tests.helpers import random_instance, random_order, simulate_profile
+from tests.helpers import (
+    TableOptMaxProbPolicy,
+    assert_decides_as_the_table,
+    random_instance,
+    random_order,
+    simulate_profile,
+)
 
 
 def ctx(position, value, prefix=0.0, remaining=()):
@@ -194,15 +200,43 @@ class TestOptMaxProb:
             OptMaxProbPolicy(inst, Order((0, 1)))
 
     def test_value_table_monotone_in_prefix(self):
+        # The two thresholds stand in for the table only because every row of
+        # the full table is non-increasing in the prefix max, bit for bit.
         rng = random.Random(44)
         for _ in range(50):
             inst = random_instance(rng, 5, 3)
             order = random_order(rng, inst.n)
-            pol = OptMaxProbPolicy(inst, order, baseline=0.0)
+            pol = TableOptMaxProbPolicy(inst, order, baseline=0.0)
             for row in pol.value_table[1 : inst.n + 1]:
                 thetas = sorted(row)
                 for a, b in zip(thetas, thetas[1:]):
-                    assert row[b] <= row[a] + 1e-12
+                    assert row[b] <= row[a]
+
+    def test_keeps_two_thresholds_per_position(self):
+        # Position 1: taking 1.0 wins w.p. 0.1, waiting w.p. 0.9, and waiting
+        # wins nothing from a prefix max of 3.0 on. Position 2 takes anything.
+        inst = Instance.from_supports([[(1.0, 1.0)], [(0.0, 0.1), (3.0, 0.9)]])
+        pol = OptMaxProbPolicy(inst, Order((0, 1)), baseline=0.0)
+        assert pol.take_from[1:] == [math.inf, 0.0]
+        assert pol.dead_from[1:] == [3.0, 0.0]
+
+    def test_tie_between_taking_and_waiting_goes_to_accept(self):
+        # Taking 1.0 and waiting for 3.0 both win w.p. 0.5 exactly.
+        inst = Instance.from_supports([[(1.0, 1.0)], [(0.0, 0.5), (3.0, 0.5)]])
+        pol = OptMaxProbPolicy(inst, Order((0, 1)), baseline=0.0)
+        assert pol.take_from[1] == 1.0
+        assert pol.decide(ctx(1, 1.0, prefix=0.0, remaining={1}))
+        assert_decides_as_the_table(inst, Order((0, 1)), 0.0)
+
+    def test_decide_matches_the_full_table_rule(self):
+        rng = random.Random(46)
+        for _ in range(300):
+            inst = random_instance(rng, 5, 3)
+            order = random_order(rng, inst.n)
+            grid = sorted({v for d in inst.distributions for v in d.values})
+            foreign = (grid[0] + grid[-1]) / 2.0 + 1.0 / 1024.0
+            for baseline in (0.0, rng.choice(grid), foreign):
+                assert_decides_as_the_table(inst, order, baseline)
 
     def test_table_start_state_matches_exact_eval(self):
         rng = random.Random(45)

@@ -25,7 +25,7 @@ from prophet_order import (
     threshold_triple,
 )
 from prophet_order.thresholds import win_factor
-from tests.helpers import FunctionPolicy, enumerate_max_law
+from tests.helpers import FunctionPolicy, assert_decides_as_the_table, enumerate_max_law
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
@@ -128,6 +128,13 @@ def test_exact_equals_brute_force_on_edge_laws(case, baseline):
             exact = eval_exact(instance, order, policy, objective).value
             brute = brute_force(instance, order, policy, objective).value
             assert abs(exact - brute) <= 1e-12 * max(1.0, abs(exact)), (name, objective)
+
+
+@SETTINGS
+@given(edge_cases(), st.sampled_from([0.0, 0.5, 1e6]))
+def test_opt_maxprob_decides_as_the_full_table_on_edge_laws(case, baseline):
+    instance, order = case
+    assert_decides_as_the_table(instance, order, baseline)
 
 
 @SETTINGS
