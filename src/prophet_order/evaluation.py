@@ -74,12 +74,12 @@ class Objective:
 
     @classmethod
     def parse(cls, text: str) -> "Objective":
-        name, _, arg = text.partition(":")
-        if name == "expectation":
+        name, colon, arg = text.partition(":")
+        if name == "expectation" and not colon:
             return cls.expectation()
-        if name == "winprob":
+        if name == "winprob" and (arg or not colon):
             return cls.winprob(float(arg) if arg else 0.0)
-        raise ValidationError(f"unknown objective {text!r}")
+        raise ValidationError(f"objective {text!r} is not expectation, winprob or winprob:THETA")
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,10 @@ def eval_exact(
     but one: a fixed-threshold policy under win probability reduces to
     prefix/suffix products (everything the rule passes is strictly below its
     threshold, hence below anything it accepts). A policy that does not read
-    the prefix max keeps a single state under expectation. The pass refuses
-    to track prefix maxima when total support size times n exceeds
-    ``state_cap``; use :func:`monte_carlo` on such inputs. A
+    the prefix max keeps a single state under expectation. The pass counts
+    the states it holds beyond one per position, summed over positions, and
+    raises :class:`CapExceededError` once that count exceeds ``state_cap``;
+    use :func:`monte_carlo` on such inputs. A
     :class:`GoldenPolicy` first computes its thresholds from the back of the
     order (:meth:`GoldenPolicy.warm`), where each suffix law extends the one
     after it, so the forward pass finds them cached.
@@ -173,18 +174,12 @@ def _state_dp(
     n = instance.n
     winprob = objective.is_winprob
     tracked = winprob or policy.uses_prefix_max
-    if tracked:
-        support_total = sum(len(d.outcomes) for d in instance.distributions)
-        if support_total * n > state_cap:
-            raise CapExceededError(
-                f"state space {support_total} values x {n} positions exceeds cap {state_cap}; "
-                "use monte_carlo for an estimate"
-            )
     seq = order.sequence
     rem = _remaining_sets(order)
     decide = policy.decide
     theta0 = objective.baseline if winprob else 0.0
     states: dict[float, float] = {theta0: 1.0}
+    extra = 0  # states held beyond one per position, summed over positions
     total = 0.0
     for pos in range(1, n + 1):
         outcomes = instance.box(seq[pos - 1]).outcomes
@@ -207,6 +202,12 @@ def _state_dp(
         states = nxt
         if not states:
             break
+        extra += len(states) - 1
+        if extra > state_cap:
+            raise CapExceededError(
+                f"the exact pass holds more than {state_cap} states beyond one per position; "
+                "use monte_carlo for an estimate"
+            )
     return EvalResult(_clamp_prob(total) if winprob else total, "exact-dp")
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .core import DiscreteDistribution, Instance, Order, validate_instance
+from .core import DiscreteDistribution, Instance, Order
 from .thresholds import LAMBDA, LN_INV_LAMBDA, PHI
 
 # golden_lb builds about (phi - 1) / step deterministic boxes and as many
@@ -61,7 +61,7 @@ def example1(eps: float) -> FamilyInstance:
             hv_box(eps),
         )
     )
-    fam = FamilyInstance(
+    return FamilyInstance(
         name="example1",
         instance=instance,
         canonical_orders=(
@@ -72,8 +72,6 @@ def example1(eps: float) -> FamilyInstance:
         predicted_limit=1.0 / root2,
         limit_note="1/sqrt(2), the eps->0 ratio ceiling for deterministic order-unaware rules",
     )
-    validate_instance(instance)
-    return fam
 
 
 def golden_lb(eps: float, step: float) -> FamilyInstance:
@@ -108,7 +106,7 @@ def golden_lb(eps: float, step: float) -> FamilyInstance:
     for j, x in enumerate(values):
         seq = tuple(range(j + 1)) + (hv_id,) + tuple(range(j + 1, m))
         orders.append((f"pi_x_{x:.6g}", Order(seq)))
-    fam = FamilyInstance(
+    return FamilyInstance(
         name="golden_lb",
         instance=instance,
         canonical_orders=tuple(orders),
@@ -116,8 +114,6 @@ def golden_lb(eps: float, step: float) -> FamilyInstance:
         predicted_limit=1.0 / PHI,
         limit_note="1/phi, the tight ratio for the expectation objective",
     )
-    validate_instance(instance)
-    return fam
 
 
 def _seq_pow(q: float, n: int) -> float:
@@ -153,7 +149,7 @@ def maxprob_lb(n: int) -> FamilyInstance:
     instance = Instance(tuple(boxes))
     decreasing = Order((0,) + tuple(range(n, 0, -1)))
     increasing = Order(tuple(range(n + 1)))
-    fam = FamilyInstance(
+    return FamilyInstance(
         name="maxprob_lb",
         instance=instance,
         canonical_orders=(("decreasing", decreasing), ("increasing", increasing)),
@@ -161,8 +157,6 @@ def maxprob_lb(n: int) -> FamilyInstance:
         predicted_limit=LN_INV_LAMBDA,
         limit_note="ln(1/lambda), the tight ratio for the max-probability objective",
     )
-    validate_instance(instance)
-    return fam
 
 
 def single_threshold_family(n: int, T: int) -> FamilyInstance:
@@ -190,7 +184,7 @@ def single_threshold_family(n: int, T: int) -> FamilyInstance:
         raise AssertionError("period partition does not cover all boxes")
     order = Order(tuple(v - 1 for v in order_values))
     alpha = (n - T) / math.sqrt(n)
-    fam = FamilyInstance(
+    return FamilyInstance(
         name="single_threshold",
         instance=instance,
         canonical_orders=(("three_period", order),),
@@ -204,8 +198,6 @@ def single_threshold_family(n: int, T: int) -> FamilyInstance:
         predicted_limit=closed_form_alg(alpha),
         limit_note="closed-form win probability of the threshold rule at this alpha, asymptotic in n",
     )
-    validate_instance(instance)
-    return fam
 
 
 def threshold_for_alpha(n: int, alpha: float) -> int:

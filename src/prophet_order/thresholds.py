@@ -16,11 +16,24 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .core import DiscreteDistribution, Instance, Order
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _bisect(root_above: Callable[[float], bool], lo: float, hi: float) -> float:
+    """Halve [lo, hi] to float resolution; ``root_above(mid)`` says the root lies above mid."""
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            break
+        if root_above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 def solve_lambda(residual_tol: float = 1e-14) -> float:
@@ -34,16 +47,7 @@ def solve_lambda(residual_tol: float = 1e-14) -> float:
     def gap(x: float) -> float:
         return x / (1.0 - x) + math.log(x)
 
-    lo, hi = 1e-12, 1.0 - 1e-12
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if mid in (lo, hi):
-            break
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = (lo + hi) / 2.0
+    root = _bisect(lambda x: gap(x) < 0.0, 1e-12, 1.0 - 1e-12)
     if abs(gap(root)) > residual_tol:
         raise ArithmeticError(f"lambda bisection stalled, residual {gap(root)!r}")
     return root
@@ -139,18 +143,10 @@ def solve_beta_bisection(dist: DiscreteDistribution, tol: float = 1e-14) -> floa
     def gap(x: float) -> float:
         return expected_surplus(dist, PHI * x) - x
 
-    lo, hi = 0.0, dist.expectation()
+    hi = dist.expectation()
     while gap(hi) > 0.0:
         hi *= 2.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if mid in (lo, hi):
-            break
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = (lo + hi) / 2.0
+    root = _bisect(lambda x: gap(x) > 0.0, 0.0, hi)
     if abs(gap(root)) > max(tol, 1e-12 * dist.expectation()):
         raise ArithmeticError(f"beta bisection stalled, residual {gap(root)!r}")
     return root

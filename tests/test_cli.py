@@ -175,6 +175,14 @@ class TestEvaluate:
         assert_clean_exit_2(code, out, err)
         assert "takes no suffix" in err
 
+    @pytest.mark.parametrize("obj", ["expectation:5", "winprob:"])
+    def test_malformed_objective_exits_2(self, capsys, classic2, obj):
+        code, out, err = run(
+            capsys, ["evaluate", "-i", classic2, "-o", "0,1", "-p", "golden", "--obj", obj]
+        )
+        assert_clean_exit_2(code, out, err)
+        assert "winprob:THETA" in err
+
     def test_baseline_comes_from_objective(self, capsys, floor_pair):
         inst, path = floor_pair
         code, out, _ = run(
@@ -282,6 +290,13 @@ class TestReproduce:
         assert data["min_ratio"] == pytest.approx(0.70746, abs=1e-4)
         assert data["argmin_order"] == "order_a"
 
+    def test_example1_with_a_shared_value_runs(self, capsys):
+        # 1/eps == sqrt(2): the high-variance box shares the first box's value,
+        # which the expectation objective allows.
+        code, out, _ = run(capsys, ["reproduce", "example1", "--eps", "0.7071067811865475"])
+        assert code == 0
+        assert 0.0 < json.loads(out)["min_ratio"] <= 1.0
+
     def test_golden_lb_report(self, capsys):
         code, out, _ = run(
             capsys, ["reproduce", "golden-lb", "--eps", "1e-4", "--step", "0.05"]
@@ -315,6 +330,15 @@ class TestReproduce:
         validate_instance(inst)
         for name in ("order_a", "order_b"):
             validate_order(inst, load_order(str(outdir / f"{name}.json")))
+
+    def test_maxprob_lb_at_n_1000_runs(self, capsys):
+        # support x n = 2001 x 1001 is above the state cap, but the pass
+        # holds one state per position
+        code, out, _ = run(capsys, ["reproduce", "maxprob-lb", "--n", "1000"])
+        assert code == 0
+        data = json.loads(out)
+        assert abs(data["min_ratio_minus_limit"]) <= 1e-12
+        assert abs(data["accept_branch_minus_lambda"]) <= 1e-12
 
     def test_maxprob_lb_too_large_n_exits_2(self, capsys):
         code, out, err = run(capsys, ["reproduce", "maxprob-lb", "--n", "50000"])

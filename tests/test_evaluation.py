@@ -52,8 +52,9 @@ class TestObjective:
         assert Objective.parse("expectation") == Objective.expectation()
         assert Objective.parse("winprob") == Objective.winprob(0.0)
         assert Objective.parse("winprob:0.5") == Objective.winprob(0.5)
-        with pytest.raises(ValidationError):
-            Objective.parse("entropy")
+        for text in ("entropy", "expectation:5", "expectation:", "winprob:"):
+            with pytest.raises(ValidationError, match="winprob:THETA"):
+                Objective.parse(text)
 
     @pytest.mark.parametrize("baseline", [math.nan, math.inf, -1.0])
     def test_baseline_checked_at_construction(self, baseline):
@@ -95,15 +96,42 @@ class TestEvalExactExamples:
         assert res.value == 0.5
 
     def test_stateless_rule_stays_outside_the_state_cap(self):
-        # Under expectation a rule that ignores the prefix max keeps one state,
-        # so the cap on tracked states does not apply to it.
+        # Under expectation a rule that ignores the prefix max keeps one state
+        # per position, so it holds no state that counts against the cap.
+        # The rule accepts the first box of the identity order outright; the
+        # reversed order keeps it running to the last box.
         rng = random.Random(61)
         inst = random_instance(rng, 4, 3)
-        order = Order.identity(inst.n)
         exp = Objective.expectation()
-        capped = eval_exact(inst, order, GoldenPolicy(inst), exp, state_cap=1).value
-        assert capped == eval_exact(inst, order, GoldenPolicy(inst), exp).value
-        assert abs(capped - brute_force(inst, order, GoldenPolicy(inst), exp).value) <= 1e-12
+        for order in (Order.identity(inst.n), Order((3, 2, 1, 0))):
+            uncapped = eval_exact(inst, order, GoldenPolicy(inst), exp).value
+            for state_cap in (1, 0):
+                capped = eval_exact(inst, order, GoldenPolicy(inst), exp, state_cap=state_cap)
+                assert capped.value == uncapped
+            assert abs(uncapped - brute_force(inst, order, GoldenPolicy(inst), exp).value) <= 1e-12
+
+    def test_state_cap_counts_the_states_held(self):
+        # Box i is 2i or 2i + 1 and the rule never accepts, so after each of
+        # the n positions the pass holds two prefix maxima: one that counts.
+        n = 4
+        inst = Instance.from_supports(
+            [[(2.0 * i, 0.5), (2.0 * i + 1.0, 0.5)] for i in range(1, n + 1)]
+        )
+        order = Order.identity(n)
+        never = FunctionPolicy(lambda ctx: False)
+        exp = Objective.expectation()
+        assert eval_exact(inst, order, never, exp, state_cap=n).value == 0.0
+        with pytest.raises(CapExceededError, match="monte_carlo"):
+            eval_exact(inst, order, never, exp, state_cap=n - 1)
+
+    def test_maxprob_lb_1000_lands_on_lambda_on_both_orders(self):
+        # support x n = 2001 x 1001 is above the default cap, but the rule
+        # accepts the deterministic first box, so the pass holds one state.
+        fam = maxprob_lb(1000)
+        inst = fam.instance
+        for name, order in fam.canonical_orders:
+            res = eval_exact(inst, order, MaxProbPolicy(inst, 0.0), Objective.winprob(0.0))
+            assert abs(res.value - LAMBDA) <= 1e-12, name
 
     def test_maxprob_lb_decreasing_computes_one_win_factor(self, monkeypatch):
         # The rule accepts the deterministic first box; only that pair is paid.
