@@ -132,7 +132,9 @@ def eval_exact(
     but one: a fixed-threshold policy under win probability reduces to
     prefix/suffix products (everything the rule passes is strictly below its
     threshold, hence below anything it accepts). A policy that does not read
-    the prefix max keeps a single state under expectation. The pass counts
+    the prefix max keeps a single state under expectation, and one that
+    declares ``splits_on_new_max`` is asked once per outcome and once per
+    state at a position, not once per pair. The pass counts
     the states it holds beyond one per position, summed over positions, and
     raises :class:`CapExceededError` once that count exceeds ``state_cap``;
     use :func:`monte_carlo` on such inputs. A
@@ -184,11 +186,25 @@ def _state_dp(
     for pos in range(1, n + 1):
         outcomes = instance.box(seq[pos - 1]).outcomes
         remaining = rem[pos - 1]
+        # A rule that splits on a new maximum is asked once per outcome and
+        # once per state wherever that is fewer calls than once per pair.
+        # Every state is >= theta0, so a new maximum over any state is decided
+        # as over theta0, and any other value as the state itself.
+        held = len(states)
+        split = policy.splits_on_new_max and held + len(outcomes) < held * len(outcomes)
+        if split:
+            fresh = {v: decide(DecisionContext(pos, v, theta0, remaining)) for v, _ in outcomes if v > theta0}
         factors: dict[float, float] = {}  # P[all later boxes < v], per accepted v
         nxt: dict[float, float] = {}
         for theta, mass in states.items():
+            if split:
+                stale = decide(DecisionContext(pos, theta, theta, remaining))
             for v, p in outcomes:
-                if decide(DecisionContext(pos, v, theta, remaining)):
+                if split:
+                    accept = fresh[v] if v > theta else stale
+                else:
+                    accept = decide(DecisionContext(pos, v, theta, remaining))
+                if accept:
                     if not winprob:
                         total += mass * p * v
                     elif v > theta:

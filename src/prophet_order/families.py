@@ -2,9 +2,10 @@
 
 Each generator returns a :class:`FamilyInstance`: the boxes, the named arrival
 orders the construction is about, the parameters used, and the limiting
-constant the family approaches as its parameter goes to its extreme. Finite
-parameters only approach that constant; reports quote both and the deviation,
-never asserting the limit as the finite value.
+constant the family approaches as its parameter goes to its extreme. Reports
+quote both and the deviation, never asserting the limit as the finite value.
+Most families only approach their constant at finite parameters;
+``maxprob_lb`` sits on ln(1/lambda), up to rounding, at every n >= 2.
 """
 
 from __future__ import annotations

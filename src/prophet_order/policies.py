@@ -46,11 +46,19 @@ class Policy:
     """Base stopping rule. Subclasses implement :meth:`decide`.
 
     ``uses_prefix_max`` tells evaluators whether the decision reads
-    ``prefix_max``; policies that don't admit faster exact evaluation.
+    ``prefix_max``. A policy that sets it to ``False`` lets the exact pass
+    keep one state per position under expectation.
+
+    ``splits_on_new_max`` promises that the decision on a new maximum
+    (``current_value > prefix_max``) does not depend on ``prefix_max``, and
+    the decision on any other value does not depend on ``current_value``. The
+    exact pass then asks once per outcome and once per prefix max instead of
+    once per pair; a rule that breaks the promise is evaluated wrongly.
     """
 
     kind: str = "custom"
     uses_prefix_max: bool = True
+    splits_on_new_max: bool = False
 
     def decide(self, ctx: DecisionContext) -> bool:
         raise NotImplementedError
@@ -126,6 +134,7 @@ class MaxProbPolicy(Policy):
 
     kind = "maxprob"
     uses_prefix_max = True
+    splits_on_new_max = True
 
     def __init__(self, instance: Instance, baseline: float = 0.0):
         if not math.isfinite(baseline) or baseline < 0.0:
@@ -212,6 +221,7 @@ class OptMaxProbPolicy(Policy):
 
     kind = "opt-maxprob"
     uses_prefix_max = True
+    splits_on_new_max = True
 
     def __init__(self, instance: Instance, order: Order, baseline: float = 0.0):
         if not math.isfinite(baseline) or baseline < 0.0:

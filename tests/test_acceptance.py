@@ -17,6 +17,7 @@ from prophet_order import (
     LN_INV_LAMBDA,
     PHI,
     GoldenPolicy,
+    Instance,
     MaxProbPolicy,
     Objective,
     OptExpectationPolicy,
@@ -34,6 +35,7 @@ from prophet_order import (
     continuation_audit,
     make_policy,
     maxprob_lb,
+    order_ratio_sweep,
     single_threshold_family,
     single_threshold_ratio_curve,
     solve_beta,
@@ -245,14 +247,21 @@ def test_criterion_08_expectation_lower_bound_family():
         ).value
         worst = min(worst, alg / opt)
     gap = abs(worst - 1.0 / PHI)
-    ok = gap <= 0.02
+    # The rule's own tight point: a sure 1/phi ahead of a sure 1. Golden's
+    # threshold for the first box is E[rest]/phi = 1/phi and ties go to
+    # accept, so the ratio is 1/phi bit for bit.
+    pair = Instance.from_supports([[(1.0 / PHI, 1.0)], [(1.0, 1.0)]])
+    tight = order_ratio_sweep(pair, GoldenPolicy(pair), EXPECTATION)
+    ok = gap <= 0.02 and tight.min_ratio == 1.0 / PHI and tight.argmin_order == Order((0, 1))
     _report(
         "criterion 8",
         ok,
         f"min ratio over {len(fam.canonical_orders)} canonical orders = {worst:.6f}; "
-        f"|ratio - 1/phi| = {gap:.4f} <= 0.02",
+        f"|ratio - 1/phi| = {gap:.4f} <= 0.02; two sure boxes {tight.min_ratio!r} vs 1/phi",
     )
-    assert ok
+    assert gap <= 0.02
+    assert tight.min_ratio == 1.0 / PHI
+    assert tight.argmin_order == Order((0, 1))
 
 
 def test_criterion_09_winprob_lower_bound_family():

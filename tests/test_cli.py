@@ -311,6 +311,13 @@ class TestReproduce:
         data = json.loads(out)
         assert abs(data["min_ratio"] - data["predicted_limit"]) <= 0.02
         assert abs(data["accept_branch_minus_lambda"]) <= 1e-12
+        # The family sits on ln(1/lambda) at the smallest n too, not only in the limit.
+        for n in ("2", "3"):
+            code, out, _ = run(capsys, ["reproduce", "maxprob-lb", "--n", n])
+            assert code == 0
+            data = json.loads(out)
+            assert abs(data["min_ratio_minus_limit"]) <= 1e-12, n
+            assert abs(data["accept_branch_minus_lambda"]) <= 1e-12, n
 
     def test_single_threshold_report(self, capsys):
         code, out, _ = run(capsys, ["reproduce", "single-threshold", "--n", "400"])

@@ -186,18 +186,24 @@ class TestOracleEquivalence:
                         assert abs(a - b) <= 1e-12, (pol.kind, obj.kind, perm)
 
     def test_prefix_dependent_custom_policy_matches_oracle(self):
-        # forces the general state DP under both objectives
+        # forces the general state DP under both objectives. chase_prefix
+        # takes any positive value at prefix max 0, so its pass holds one
+        # state; near_max holds several and reads a value that is no new
+        # maximum against the prefix max, which the once-per-outcome split of
+        # the max-prob rules would misread
         def chase_prefix(ctx):
             return ctx.current_value >= 2.0 * ctx.prefix_max and ctx.current_value > 0
-        pol = FunctionPolicy(chase_prefix, kind="chase")
+        def near_max(ctx):
+            return ctx.current_value >= 0.5 * ctx.prefix_max > 0
         rng = random.Random(62)
         for _ in range(30):
             inst = random_instance(rng, 4, 3)
             order = random_order(rng, inst.n)
-            for obj in (Objective.expectation(), Objective.winprob(0.0)):
-                a = eval_exact(inst, order, pol, obj).value
-                b = brute_force(inst, order, pol, obj).value
-                assert abs(a - b) <= 1e-12
+            for pol in (FunctionPolicy(chase_prefix, kind="chase"), FunctionPolicy(near_max, kind="near-max")):
+                for obj in (Objective.expectation(), Objective.winprob(0.0)):
+                    a = eval_exact(inst, order, pol, obj).value
+                    b = brute_force(inst, order, pol, obj).value
+                    assert abs(a - b) <= 1e-12, (pol.kind, obj)
 
     def test_threshold_winprob_fast_path_matches_oracle(self):
         rng = random.Random(63)

@@ -131,6 +131,21 @@ def test_exact_equals_brute_force_on_edge_laws(case, baseline):
 
 
 @SETTINGS
+@given(edge_cases(), st.sampled_from([0.0, 0.5, 1e6]), st.sampled_from([0.0, 0.5, 1e6]))
+def test_split_pass_is_bit_identical_to_the_per_pair_pass_on_edge_laws(case, rule_baseline, baseline):
+    # The shipped max-prob rules are asked once per outcome and once per state;
+    # the same decide behind a wrapper that declares nothing is asked once per
+    # (state, outcome). The rule's baseline need not be the objective's.
+    instance, order = case
+    for policy in (MaxProbPolicy(instance, rule_baseline), OptMaxProbPolicy(instance, order, rule_baseline)):
+        per_pair = FunctionPolicy(policy.decide, uses_prefix_max=True)
+        for objective in (Objective.expectation(), Objective.winprob(baseline)):
+            split = eval_exact(instance, order, policy, objective).value
+            paired = eval_exact(instance, order, per_pair, objective).value
+            assert split.hex() == paired.hex(), (policy.kind, objective)
+
+
+@SETTINGS
 @given(edge_cases(), st.sampled_from([0.0, 0.5, 1e6]))
 def test_opt_maxprob_decides_as_the_full_table_on_edge_laws(case, baseline):
     instance, order = case
