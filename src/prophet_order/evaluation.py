@@ -29,7 +29,7 @@ from .policies import (
     Policy,
     SingleThresholdPolicy,
 )
-from .thresholds import PHI, win_factor
+from .thresholds import PHI, win_factor, win_factors
 
 DEFAULT_STATE_CAP = 1_000_000
 DEFAULT_PROFILE_CAP = 1_000_000
@@ -152,17 +152,29 @@ def eval_exact(
 
 
 def _threshold_winprob(instance: Instance, order: Order, threshold: float, baseline: float) -> float:
+    def winnable(v: float) -> bool:
+        return v >= threshold and v > baseline
+
     seq = order.sequence
-    total = 0.0
+    # Each position that holds a winnable value, up to the first box that
+    # leaves no mass: the mass of passing every box before it, and its
+    # winnable values. A box's values ascend, so its largest tells.
+    reached: dict[int, tuple[float, list[float]]] = {}
     pass_mass = 1.0
-    for pos in range(1, len(seq) + 1):
-        box = instance.box(seq[pos - 1])
-        for v, p in box.outcomes:
-            if v >= threshold and v > baseline:
-                total += pass_mass * p * win_factor(instance, order, pos, v)
+    for t, bid in enumerate(seq, start=1):
+        box = instance.box(bid)
+        if winnable(box.values[-1]):
+            reached[t] = (pass_mass, [v for v in box.values if winnable(v)])
         pass_mass *= box.prob_below(threshold, strict=True)
         if pass_mass == 0.0:
             break
+    factors = win_factors(instance, order, {t: values for t, (_, values) in reached.items()})
+    total = 0.0
+    for t, (pass_mass, _) in reached.items():
+        wins = factors[t]
+        for v, p in instance.box(seq[t - 1]).outcomes:
+            if v in wins:
+                total += pass_mass * p * wins[v]
     return total
 
 

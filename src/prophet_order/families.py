@@ -171,10 +171,10 @@ def single_threshold_family(n: int, T: int) -> FamilyInstance:
     if n < 1 or not 1 <= T <= n:
         raise ValueError(f"need n >= 1 and 1 <= T <= n, got n={n}, T={T}")
     p = 1.0 / math.sqrt(n)
-    boxes = tuple(
-        DiscreteDistribution.from_pairs([(0.0, 1.0 - p), (float(i), p)])
-        for i in range(1, n + 1)
-    )
+    # The probabilities from_pairs makes of (0, 1 - p), (i, p) do not depend
+    # on i, so canonicalize them once and build every box from them.
+    q0, q1 = DiscreteDistribution.from_pairs([(0.0, 1.0 - p), (1.0, p)]).probabilities
+    boxes = tuple(DiscreteDistribution(((0.0, q0), (float(i), q1))) for i in range(1, n + 1))
     instance = Instance(boxes)
     k = (n - T) // 2
     period1 = list(range(T, T + k))

@@ -14,9 +14,9 @@ constant lambda, the unique root of x / (1 - x) = ln(1 / x).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .core import DiscreteDistribution, Instance, Order
 
@@ -95,6 +95,41 @@ def win_factor(instance: Instance, order: Order, position: int, value: float) ->
     for bid in reversed(order.sequence[position:]):
         acc *= dists[bid].prob_below(value, strict=True)
     return acc
+
+
+def win_factors(
+    instance: Instance, order: Order, wanted: Mapping[int, Iterable[float]]
+) -> dict[int, dict[float, float]]:
+    """``{t: {v: win_factor(instance, order, t, v) for v in wanted[t]} for t in wanted}``, bit for bit.
+
+    One walk from the last box back carries a running product per value, in
+    ``win_factor``'s order, and drops a value past the first position that
+    wants it; it ends where no earlier position wants anything. A box whose
+    CDF table ends at exactly 1.0 skips the values above its largest point,
+    since x * 1.0 == x.
+    """
+    dists = instance.distributions
+    seq = order.sequence
+    first: dict[float, int] = {}  # value -> first position that wants it
+    for t in sorted(wanted):
+        for v in wanted[t]:
+            first.setdefault(v, t)
+    live = sorted(first)  # values some earlier position still wants
+    acc = dict.fromkeys(live, 1.0)
+    out: dict[int, dict[float, float]] = {t: {} for t in wanted}
+    for t in range(len(seq), 0, -1):
+        if t in wanted:
+            out[t] = {v: acc[v] for v in wanted[t]}
+            for v in out[t]:
+                if first[v] == t:
+                    del live[bisect_left(live, v)]
+        if not live:
+            break
+        box = dists[seq[t - 1]]
+        reach = bisect_right(live, box.values[-1]) if box.cdf[-1] == 1.0 else len(live)
+        for v in live[:reach]:
+            acc[v] *= box.prob_below(v, strict=True)
+    return out
 
 
 def expected_surplus(dist: DiscreteDistribution, c: float) -> float:

@@ -117,6 +117,28 @@ def assert_decides_as_the_table(inst, order, baseline):
                 assert pol.decide(c) == ref.decide(c), (t, v, prefix, baseline)
 
 
+def per_pair_threshold_winprob(instance: Instance, order: Order, threshold: float, baseline: float) -> float:
+    """Reference for the exact win probability of a single-threshold rule.
+
+    One forward sum over the order with one ``win_factor`` call per winnable
+    outcome, clamped to [0, 1] as ``eval_exact`` clamps its value.
+    ``eval_exact`` must match it bit for bit: its carried factors and its
+    sum run in the same order.
+    """
+    seq = order.sequence
+    total = 0.0
+    pass_mass = 1.0
+    for pos in range(1, len(seq) + 1):
+        box = instance.box(seq[pos - 1])
+        for v, p in box.outcomes:
+            if v >= threshold and v > baseline:
+                total += pass_mass * p * win_factor(instance, order, pos, v)
+        pass_mass *= box.prob_below(threshold, strict=True)
+        if pass_mass == 0.0:
+            break
+    return min(max(total, 0.0), 1.0)
+
+
 def draw_profile(instance: Instance, rng: random.Random) -> tuple[float, ...]:
     """One independent draw per box, indexed by box id."""
     return tuple(d.sample(rng) for d in instance.distributions)

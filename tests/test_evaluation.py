@@ -8,6 +8,7 @@ from prophet_order import (
     LAMBDA,
     PHI,
     CapExceededError,
+    DiscreteDistribution,
     GoldenPolicy,
     Instance,
     MaxProbPolicy,
@@ -27,7 +28,7 @@ from prophet_order import (
     maxprob_lb,
 )
 from prophet_order import evaluation
-from prophet_order.thresholds import win_factor
+from prophet_order.thresholds import win_factor, win_factors
 from tests.helpers import FunctionPolicy, oracle_corpus, random_instance, random_order
 
 
@@ -147,6 +148,21 @@ class TestEvalExactExamples:
         res = eval_exact(inst, fam.order("decreasing"), MaxProbPolicy(inst, 0.0), Objective.winprob(0.0))
         assert calls == [(1, 0.5)]
         assert abs(res.value - LAMBDA) <= 1e-12
+
+    def test_threshold_winprob_pays_only_the_positions_it_reaches(self, monkeypatch):
+        # A sure accept at position 1 ends the sum: no later value is paid.
+        rare = [DiscreteDistribution(((0.0, 0.5), (float(i), 0.5))) for i in range(1, 50)]
+        inst = Instance((DiscreteDistribution.point(100.0), *rare))
+        asked = []
+
+        def recording(instance, order, wanted):
+            asked.append(wanted)
+            return win_factors(instance, order, wanted)
+
+        monkeypatch.setattr(evaluation, "win_factors", recording)
+        res = eval_exact(inst, Order.identity(50), SingleThresholdPolicy(0.5), Objective.winprob(0.0))
+        assert asked == [{1: [100.0]}]
+        assert res.value == 1.0
 
     def test_state_cap_guard(self):
         rng = random.Random(61)

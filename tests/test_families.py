@@ -6,12 +6,14 @@ from prophet_order import (
     LAMBDA,
     LN_INV_LAMBDA,
     PHI,
+    DiscreteDistribution,
     GoldenPolicy,
     MaxProbPolicy,
     Objective,
     OptExpectationPolicy,
     OptMaxProbPolicy,
     SingleThresholdPolicy,
+    ValidationError,
     closed_form_alg,
     closed_form_opt,
     closed_form_ratio,
@@ -26,6 +28,7 @@ from prophet_order import (
     validate_instance,
     validate_order,
 )
+from tests.helpers import per_pair_threshold_winprob
 
 
 def family_ratios(fam, policy, objective, opt_builder):
@@ -191,6 +194,29 @@ class TestSingleThresholdFamily:
     def test_unique_max_valid(self):
         fam = single_threshold_family(16, 10)
         validate_instance(fam.instance)
+
+    @pytest.mark.parametrize("n", [2500, 10000])
+    def test_boxes_are_the_from_pairs_boxes(self, n):
+        p = 1.0 / math.sqrt(n)
+        boxes = single_threshold_family(n, n).instance.distributions
+        for i, box in enumerate(boxes, start=1):
+            ref = DiscreteDistribution.from_pairs([(0.0, 1.0 - p), (float(i), p)])
+            assert box.outcomes == ref.outcomes and box.cdf == ref.cdf, i
+
+    def test_one_box_is_refused_as_from_pairs_refuses_it(self):
+        # At n = 1, p = 1 leaves the zero atom with probability 0.
+        with pytest.raises(ValidationError, match="probability 0.0"):
+            DiscreteDistribution.from_pairs([(0.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(ValidationError, match="probability 0.0"):
+            single_threshold_family(1, 1)
+
+    @pytest.mark.parametrize("T", [9888, 9990])
+    def test_exact_winprob_is_the_per_pair_loop_bit_for_bit(self, T):
+        fam = single_threshold_family(10000, T)
+        order = fam.order("three_period")
+        policy = SingleThresholdPolicy(float(T))
+        exact = eval_exact(fam.instance, order, policy, Objective.winprob(0.0)).value
+        assert exact.hex() == per_pair_threshold_winprob(fam.instance, order, float(T), 0.0).hex()
 
     def test_threshold_for_alpha(self):
         assert threshold_for_alpha(10000, 1.12324) == 9888

@@ -6,6 +6,7 @@ import pytest
 from prophet_order import (
     LAMBDA,
     DecisionContext,
+    DiscreteDistribution,
     GoldenPolicy,
     Instance,
     MaxProbPolicy,
@@ -65,6 +66,13 @@ class TestGoldenPolicy:
         # remaining point mass 1 gives tau = 1/phi ~ 0.618
         assert not pol.decide(ctx(1, 0.5, remaining={1}))
 
+    def test_accepts_tau_and_rejects_the_float_below_it(self):
+        inst = Instance.from_supports([[(1.0, 1.0)], [(0.0, 0.75), (3.0, 0.25)]])
+        pol = GoldenPolicy(inst)
+        tau = pol.tau(frozenset({1}))
+        assert pol.decide(ctx(1, tau, remaining={1}))
+        assert not pol.decide(ctx(1, math.nextafter(tau, 0.0), remaining={1}))
+
     def test_exact_walk_extends_one_law_per_position(self, monkeypatch):
         # eval_exact builds the thresholds from the back of the order, where
         # each remaining set is the last one plus a box: after the empty set,
@@ -116,6 +124,16 @@ class TestMaxProbPolicy:
         pol = MaxProbPolicy(inst)
         assert pol.prob_future_below(frozenset({1}), 1.0) == pytest.approx(0.1)
         assert not pol.decide(ctx(1, 1.0, prefix=0.0, remaining={1}))
+
+    @pytest.mark.parametrize("below", [LAMBDA, math.nextafter(LAMBDA, 0.0)])
+    def test_accepts_iff_the_future_stays_below_w_p_at_least_lambda(self, below):
+        # Bare constructor: the later box's table holds P[it < 1] as given,
+        # where from_pairs would renormalize it.
+        later = DiscreteDistribution(((0.0, below), (3.0, 1.0 - below)))
+        inst = Instance((DiscreteDistribution.point(1.0), later))
+        pol = MaxProbPolicy(inst)
+        assert pol.prob_future_below(frozenset({1}), 1.0) == below
+        assert pol.decide(ctx(1, 1.0, prefix=0.0, remaining={1})) == (below == LAMBDA)
 
     def test_rejects_value_not_above_prefix(self):
         inst = Instance.from_supports([[(1.0, 1.0)], [(2.0, 1.0)]])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from prophet_order import (
     LN_INV_LAMBDA,
     PHI,
+    DiscreteDistribution,
     GoldenPolicy,
     Instance,
     MaxProbPolicy,
@@ -18,14 +20,20 @@ from prophet_order import (
     OptExpectationPolicy,
     OptMaxProbPolicy,
     Order,
+    SingleThresholdPolicy,
     brute_force,
     eval_exact,
     order_ratio_sweep,
     suffix_max,
     threshold_triple,
 )
-from prophet_order.thresholds import win_factor
-from tests.helpers import FunctionPolicy, assert_decides_as_the_table, enumerate_max_law
+from prophet_order.thresholds import win_factor, win_factors
+from tests.helpers import (
+    FunctionPolicy,
+    assert_decides_as_the_table,
+    enumerate_max_law,
+    per_pair_threshold_winprob,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
@@ -101,6 +109,43 @@ def edge_cases(draw) -> tuple[Instance, Order]:
     return instance, Order(tuple(draw(st.permutations(range(instance.n)))))
 
 
+def threshold_probes(instance: Instance) -> list[float]:
+    """Thresholds at 0, on a support point, between two points and above the largest."""
+    values = sorted({v for d in instance.distributions for v in d.values})
+    mid = len(values) // 2
+    probes = [0.0, values[mid], values[-1] + 1.0]
+    if mid:
+        probes.append((values[mid - 1] + values[mid]) / 2.0)
+    return probes
+
+
+def table_ending_at(box: DiscreteDistribution, end: float) -> DiscreteDistribution | None:
+    """``box`` rebuilt by the bare constructor with its last probability moved
+    so that its CDF table ends at ``end``; None when no float does that."""
+    *head, (v, _) = box.outcomes
+    q = float(Fraction(end) - sum((Fraction(p) for _, p in head), Fraction(0)))
+    for cand in (q, math.nextafter(q, 0.0), math.nextafter(q, 2.0)):
+        if 0.0 < cand <= 1.0:
+            moved = DiscreteDistribution((*head, (v, cand)))
+            if moved.cdf[-1] == end:
+                return moved
+    return None
+
+
+@st.composite
+def near_one_cases(draw) -> tuple[Instance, Order]:
+    """Edge cases in which any box may be rebuilt so that its CDF table ends
+    one ulp below or above 1.0 instead of at 1.0."""
+    instance, order = draw(edge_cases())
+    ends = [None, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]
+    boxes = []
+    for box in instance.distributions:
+        end = draw(st.sampled_from(ends))
+        moved = None if end is None else table_ending_at(box, end)
+        boxes.append(box if moved is None else moved)
+    return Instance(tuple(boxes)), order
+
+
 @SETTINGS
 @given(edge_instances())
 def test_suffix_max_matches_enumeration_on_edge_laws(instance):
@@ -123,6 +168,8 @@ def test_exact_equals_brute_force_on_edge_laws(case, baseline):
         "opt-exp": OptExpectationPolicy(instance, order),
         "opt-maxprob": OptMaxProbPolicy(instance, order, baseline),
     }
+    for threshold in threshold_probes(instance):
+        policies[f"threshold:{threshold!r}"] = SingleThresholdPolicy(threshold)
     for objective in (Objective.expectation(), Objective.winprob(baseline)):
         for name, policy in policies.items():
             exact = eval_exact(instance, order, policy, objective).value
@@ -165,6 +212,48 @@ def test_win_factor_matches_enumeration_on_edge_laws(case):
         for v in probes:
             oracle = sum(p for u, p in law if u < v) if later else 1.0
             assert abs(win_factor(instance, order, t, v) - oracle) <= 1e-12, (t, v)
+
+
+def assert_win_factors_are_win_factor(instance, order, baseline):
+    """``win_factors`` equals ``win_factor`` by ``float.hex`` at every position
+    and wanted value: every value at every position, at a leading run of
+    positions, at every other position, and a threshold rule's winnable values."""
+    every = {t: instance.box(b).values for t, b in enumerate(order.sequence, start=1)}
+    cases = [every, {t: vs for t, vs in every.items() if t % 2}]
+    cases += [{t: vs for t, vs in every.items() if t <= k} for k in range(instance.n)]
+    for th in threshold_probes(instance):
+        cases.append({t: [v for v in vs if v >= th and v > baseline] for t, vs in every.items()})
+    for wanted in cases:
+        got = win_factors(instance, order, wanted)
+        assert set(got) == set(wanted)
+        for t, values in wanted.items():
+            ref = {v: win_factor(instance, order, t, v).hex() for v in values}
+            assert {v: f.hex() for v, f in got[t].items()} == ref, t
+
+
+@SETTINGS
+@given(edge_cases(), st.sampled_from([0.0, 0.5, 1e6]))
+def test_win_factors_match_win_factor_bit_for_bit_on_edge_laws(case, baseline):
+    assert_win_factors_are_win_factor(*case, baseline)
+
+
+@SETTINGS
+@given(near_one_cases(), st.sampled_from([0.0, 0.5, 1e6]))
+def test_win_factors_match_win_factor_bit_for_bit_on_tables_ending_near_one(case, baseline):
+    # A box whose table ends off 1.0 multiplies every value above its
+    # largest point too: the carry may skip only boxes that end at 1.0.
+    assert_win_factors_are_win_factor(*case, baseline)
+
+
+@SETTINGS
+@given(edge_cases(), st.sampled_from([0.0, 0.5, 1e6]))
+def test_threshold_winprob_is_the_per_pair_loop_bit_for_bit_on_edge_laws(case, baseline):
+    instance, order = case
+    for threshold in threshold_probes(instance):
+        policy = SingleThresholdPolicy(threshold)
+        exact = eval_exact(instance, order, policy, Objective.winprob(baseline)).value
+        oracle = per_pair_threshold_winprob(instance, order, threshold, baseline)
+        assert exact.hex() == oracle.hex(), threshold
 
 
 @SETTINGS

@@ -20,7 +20,7 @@ from prophet_order import (
     threshold_triple,
 )
 from prophet_order.families import _seq_pow
-from prophet_order.thresholds import win_factor
+from prophet_order.thresholds import win_factor, win_factors
 from tests.helpers import enumerate_max_law, random_instance, random_suffix_law
 
 
@@ -252,3 +252,15 @@ class TestWinFactor:
                         want *= inst.box(b).prob_below(v, strict=True)
                     assert win_factor(inst, Order(seq), t, v).hex() == want.hex()
 
+
+class TestWinFactors:
+    @pytest.mark.parametrize("end", [math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)])
+    def test_a_table_ending_off_one_multiplies_values_above_its_points(self, end):
+        # Bare constructor: the last box's table ends one ulp off 1.0, so
+        # P[it < 5] is that end, not 1.0, and the carry must not skip it.
+        later = DiscreteDistribution(((1.0, 0.5), (2.0, end - 0.5)))
+        assert later.cdf[-1] == end
+        inst = Instance((DiscreteDistribution.point(5.0), later))
+        got = win_factors(inst, Order((0, 1)), {1: [5.0], 2: [1.0, 2.0]})
+        assert got[1][5.0].hex() == win_factor(inst, Order((0, 1)), 1, 5.0).hex() == end.hex()
+        assert got[2] == {1.0: 1.0, 2.0: 1.0}
