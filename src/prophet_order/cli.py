@@ -41,7 +41,7 @@ from .families import (
     single_threshold_ratio_curve,
     threshold_for_alpha,
 )
-from .policies import GoldenPolicy, MaxProbPolicy, SingleThresholdPolicy, make_policy
+from .policies import GoldenPolicy, MaxProbPolicy, Policy, SingleThresholdPolicy, make_policy
 from .thresholds import LAMBDA, LN_INV_LAMBDA, PHI
 
 
@@ -99,7 +99,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     order = _parse_order(args.order)
     objective = Objective.parse(args.obj)
-    policy = make_policy(args.policy, instance, order, baseline=objective.baseline)
+    policy = make_policy(args.policy, instance, order)
     if args.mc:
         result = monte_carlo(instance, order, policy, objective, samples=args.mc, seed=args.seed)
     else:
@@ -114,7 +114,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_ratio(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     objective = Objective.parse(args.obj)
-    policy = make_policy(args.policy, instance, baseline=objective.baseline)
+    policy = make_policy(args.policy, instance)
     orders = _parse_orders(args.orders) if args.orders else None
     report = order_ratio_sweep(instance, policy, objective, orders=orders, perm_cap=args.perm_cap)
     if args.format == "csv":
@@ -122,26 +122,6 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     else:
         _print_json(report.to_json_dict())
     return 0
-
-
-def _ratio_rows(fam: FamilyInstance, policy, objective: Objective) -> tuple[list[dict], float, str]:
-    orders = [order for _, order in fam.canonical_orders]
-    report = order_ratio_sweep(fam.instance, policy, objective, orders=orders)
-    rows = []
-    argmin_name = fam.canonical_orders[0][0]
-    for (name, _), row in zip(fam.canonical_orders, report.per_order):
-        rows.append(
-            {
-                "name": name,
-                "order": list(row.order.sequence),
-                "alg": row.alg,
-                "opt": row.opt,
-                "ratio": row.ratio,
-            }
-        )
-        if row.order == report.argmin_order:
-            argmin_name = name
-    return rows, report.min_ratio, argmin_name
 
 
 def _emit_family(fam: FamilyInstance, directory: str) -> None:
@@ -154,23 +134,17 @@ def _emit_family(fam: FamilyInstance, directory: str) -> None:
 def cmd_reproduce(args: argparse.Namespace) -> int:
     if args.family == "example1":
         fam = example1(eps=args.eps if args.eps is not None else 1e-3)
-        policy = GoldenPolicy(fam.instance)
-        rows, min_ratio, argmin = _ratio_rows(fam, policy, Objective.expectation())
-        report = _family_report(fam, rows, min_ratio, argmin)
+        report = _family_report(fam, GoldenPolicy(fam.instance), Objective.expectation())
     elif args.family == "golden-lb":
         fam = golden_lb(
             eps=args.eps if args.eps is not None else 1e-4,
             step=args.step if args.step is not None else 0.05,
         )
-        policy = GoldenPolicy(fam.instance)
-        rows, min_ratio, argmin = _ratio_rows(fam, policy, Objective.expectation())
-        report = _family_report(fam, rows, min_ratio, argmin)
+        report = _family_report(fam, GoldenPolicy(fam.instance), Objective.expectation())
     elif args.family == "maxprob-lb":
         fam = maxprob_lb(n=args.n if args.n is not None else 200)
-        policy = MaxProbPolicy(fam.instance, baseline=0.0)
-        rows, min_ratio, argmin = _ratio_rows(fam, policy, Objective.winprob(0.0))
-        report = _family_report(fam, rows, min_ratio, argmin)
-        accept_branch = next(r["alg"] for r in rows if r["name"] == "decreasing")
+        report = _family_report(fam, MaxProbPolicy(fam.instance), Objective.winprob())
+        accept_branch = next(r["alg"] for r in report["orders"] if r["name"] == "decreasing")
         report["accept_branch_winprob"] = accept_branch
         report["accept_branch_minus_lambda"] = accept_branch - LAMBDA
     elif args.family == "single-threshold":
@@ -213,16 +187,26 @@ def _jsonable(params: dict) -> dict:
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}
 
 
-def _family_report(fam: FamilyInstance, rows: list[dict], min_ratio: float, argmin: str) -> dict:
+def _family_report(fam: FamilyInstance, policy: Policy, objective: Objective) -> dict:
+    """Sweep ``policy`` over the family's canonical orders and report each ratio."""
+    named = fam.canonical_orders
+    report = order_ratio_sweep(fam.instance, policy, objective, orders=[order for _, order in named])
+    rows = [
+        {"name": name, "order": list(row.order.sequence), "alg": row.alg, "opt": row.opt, "ratio": row.ratio}
+        for (name, _), row in zip(named, report.per_order)
+    ]
+    # Two names may share one order (golden_lb's pi and pi_x_1); the last one
+    # names the worst order.
+    argmin = [name for name, order in named if order == report.argmin_order][-1]
     return {
         "family": fam.name,
         "parameters": _jsonable(fam.parameters),
         "orders": rows,
-        "min_ratio": min_ratio,
+        "min_ratio": report.min_ratio,
         "argmin_order": argmin,
         "predicted_limit": fam.predicted_limit,
         "limit_note": fam.limit_note,
-        "min_ratio_minus_limit": min_ratio - fam.predicted_limit,
+        "min_ratio_minus_limit": report.min_ratio - fam.predicted_limit,
     }
 
 

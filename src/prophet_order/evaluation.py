@@ -78,7 +78,12 @@ class Objective:
         if name == "expectation" and not colon:
             return cls.expectation()
         if name == "winprob" and (arg or not colon):
-            return cls.winprob(float(arg) if arg else 0.0)
+            try:
+                theta = float(arg) if arg else 0.0
+            except ValueError:
+                pass
+            else:
+                return cls.winprob(theta)
         raise ValidationError(f"objective {text!r} is not expectation, winprob or winprob:THETA")
 
 

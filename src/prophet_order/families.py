@@ -168,8 +168,9 @@ def single_threshold_family(n: int, T: int) -> FamilyInstance:
     threshold-T rule accepts the first value it sees in the first two periods
     and can never accept in the third.
     """
-    if n < 1 or not 1 <= T <= n:
-        raise ValueError(f"need n >= 1 and 1 <= T <= n, got n={n}, T={T}")
+    # At n = 1 the box's zero atom would get probability 1 - 1/sqrt(1) = 0.
+    if n < 2 or not 1 <= T <= n:
+        raise ValueError(f"need n >= 2 and 1 <= T <= n, got n={n}, T={T}")
     p = 1.0 / math.sqrt(n)
     # The probabilities from_pairs makes of (0, 1 - p), (i, p) do not depend
     # on i, so canonicalize them once and build every box from them.

@@ -130,6 +130,9 @@ class MaxProbPolicy(Policy):
     baseline) and the probability that every remaining box stays strictly below
     it is at least lambda. Both conditions read only the remaining set, so the
     rule is order-unaware.
+
+    ``baseline`` is a floor under the prefix maximum that the package never
+    sets; the evaluators start the prefix maximum at the objective's baseline.
     """
 
     kind = "maxprob"
@@ -215,6 +218,11 @@ class OptMaxProbPolicy(Policy):
     value iff the prefix max is >= ``dead_from[t]``, the least grid point from
     which positions t+1..n win nothing.
 
+    ``baseline`` is the grid's floor and ``win_probability``'s start state.
+    Rules are built at 0, which decides every prefix max >= any b as one built
+    at b (its row at b is its row at the grid point below b, bit for bit); only
+    ``order_ratio_sweep`` passes a baseline, to read the optimum.
+
     Requires a unique-max-valid instance (no positive value shared between two
     boxes).
     """
@@ -294,38 +302,32 @@ def _needs_order(name: str, order: Order | None) -> Order:
 
 
 # Every spec but ``threshold:<T>``: a bare name and how to build its policy
-# from (instance, order, baseline).
-_PLAIN_SPECS: dict[str, Callable[[Instance, Order | None, float], Policy]] = {
-    "golden": lambda inst, order, baseline: GoldenPolicy(inst),
-    "maxprob": lambda inst, order, baseline: MaxProbPolicy(inst, baseline),
-    "opt-exp": lambda inst, order, baseline: OptExpectationPolicy(
-        inst, _needs_order("opt-exp", order)
-    ),
-    "opt-maxprob": lambda inst, order, baseline: OptMaxProbPolicy(
-        inst, _needs_order("opt-maxprob", order), baseline
-    ),
-    "median": lambda inst, order, baseline: SingleThresholdPolicy(
+# from (instance, order).
+_PLAIN_SPECS: dict[str, Callable[[Instance, Order | None], Policy]] = {
+    "golden": lambda inst, order: GoldenPolicy(inst),
+    "maxprob": lambda inst, order: MaxProbPolicy(inst),
+    "opt-exp": lambda inst, order: OptExpectationPolicy(inst, _needs_order("opt-exp", order)),
+    "opt-maxprob": lambda inst, order: OptMaxProbPolicy(inst, _needs_order("opt-maxprob", order)),
+    "median": lambda inst, order: SingleThresholdPolicy(
         classic_thresholds(inst).median_of_max, kind="median"
     ),
-    "half-emax": lambda inst, order, baseline: SingleThresholdPolicy(
+    "half-emax": lambda inst, order: SingleThresholdPolicy(
         classic_thresholds(inst).half_expected_max, kind="half-emax"
     ),
-    "inv-e": lambda inst, order, baseline: SingleThresholdPolicy(
+    "inv-e": lambda inst, order: SingleThresholdPolicy(
         classic_thresholds(inst).inv_e_quantile, kind="inv-e"
     ),
 }
 
 
-def make_policy(
-    spec: str, instance: Instance, order: Order | None = None, *, baseline: float = 0.0
-) -> Policy:
+def make_policy(spec: str, instance: Instance, order: Order | None = None) -> Policy:
     """Build a policy from its CLI spec string.
 
     Recognized: ``golden``, ``maxprob``, ``opt-exp``, ``opt-maxprob``,
     ``threshold:<T>``, ``median``, ``half-emax``, ``inv-e``. Order-aware kinds
-    require ``order``. ``baseline`` is the win-probability baseline of
-    ``maxprob`` and ``opt-maxprob``; it comes from the objective. Only
-    ``threshold`` takes a ``:suffix``; one on any other spec is rejected.
+    require ``order``. Rules are built without the win-probability baseline,
+    which the evaluators read from the objective. Only ``threshold`` takes a
+    ``:suffix``; one on any other spec is rejected.
     """
     name, sep, arg = spec.partition(":")
     name = name.strip()
@@ -341,4 +343,4 @@ def make_policy(
         if name in ("maxprob", "opt-maxprob"):
             hint = f"its baseline comes from the objective, set it with --obj winprob:{arg or 'THETA'}"
         raise ValidationError(f"policy {name!r} takes no suffix: {hint}")
-    return build(instance, order, baseline)
+    return build(instance, order)

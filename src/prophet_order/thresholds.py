@@ -22,6 +22,9 @@ from .core import DiscreteDistribution, Instance, Order
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
+# Largest residual the bisections accept; beta's scales up with E[y].
+RESIDUAL_TOL = 1e-14
+
 
 def _bisect(root_above: Callable[[float], bool], lo: float, hi: float) -> float:
     """Halve [lo, hi] to float resolution; ``root_above(mid)`` says the root lies above mid."""
@@ -36,19 +39,19 @@ def _bisect(root_above: Callable[[float], bool], lo: float, hi: float) -> float:
     return (lo + hi) / 2.0
 
 
-def solve_lambda(residual_tol: float = 1e-14) -> float:
+def solve_lambda() -> float:
     """Root of x / (1 - x) = ln(1 / x) in (0, 1), by bisection.
 
     The difference x / (1 - x) + ln(x) is strictly increasing on (0, 1), from
     -inf to +inf, so the root is unique. Iterates to float resolution and
-    checks the residual against ``residual_tol``.
+    checks the residual against ``RESIDUAL_TOL``.
     """
 
     def gap(x: float) -> float:
         return x / (1.0 - x) + math.log(x)
 
     root = _bisect(lambda x: gap(x) < 0.0, 1e-12, 1.0 - 1e-12)
-    if abs(gap(root)) > residual_tol:
+    if abs(gap(root)) > RESIDUAL_TOL:
         raise ArithmeticError(f"lambda bisection stalled, residual {gap(root)!r}")
     return root
 
@@ -170,7 +173,7 @@ def solve_beta(dist: DiscreteDistribution) -> float:
     return solve_beta_bisection(dist)
 
 
-def solve_beta_bisection(dist: DiscreteDistribution, tol: float = 1e-14) -> float:
+def solve_beta_bisection(dist: DiscreteDistribution) -> float:
     """Bisection solve of E[(y - phi*x)^+] = x, independent of the exact path."""
     if dist.expectation() == 0.0:
         return 0.0
@@ -182,7 +185,7 @@ def solve_beta_bisection(dist: DiscreteDistribution, tol: float = 1e-14) -> floa
     while gap(hi) > 0.0:
         hi *= 2.0
     root = _bisect(lambda x: gap(x) > 0.0, 0.0, hi)
-    if abs(gap(root)) > max(tol, 1e-12 * dist.expectation()):
+    if abs(gap(root)) > max(RESIDUAL_TOL, 1e-12 * dist.expectation()):
         raise ArithmeticError(f"beta bisection stalled, residual {gap(root)!r}")
     return root
 

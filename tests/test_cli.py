@@ -175,7 +175,7 @@ class TestEvaluate:
         assert_clean_exit_2(code, out, err)
         assert "takes no suffix" in err
 
-    @pytest.mark.parametrize("obj", ["expectation:5", "winprob:"])
+    @pytest.mark.parametrize("obj", ["expectation:5", "winprob:", "winprob:x"])
     def test_malformed_objective_exits_2(self, capsys, classic2, obj):
         code, out, err = run(
             capsys, ["evaluate", "-i", classic2, "-o", "0,1", "-p", "golden", "--obj", obj]
@@ -357,6 +357,12 @@ class TestReproduce:
         code, out, err = run(capsys, ["reproduce", "single-threshold", "--n", "-5"])
         assert_clean_exit_2(code, out, err)
         assert "n=-5" in err
+
+    def test_single_threshold_one_box_exits_2(self, capsys):
+        # used to name only the zero atom's probability 0.0, no family parameter
+        code, out, err = run(capsys, ["reproduce", "single-threshold", "--n", "1"])
+        assert_clean_exit_2(code, out, err)
+        assert "n=1" in err and "n >= 2" in err
 
     def test_golden_lb_step_below_float_spacing_exits_2(self, capsys):
         # PHI - 1e-300 == PHI: without the box-count bound this never returns.

@@ -1,0 +1,81 @@
+"""The CLI's stdout, pinned byte for byte.
+
+``tests/data/cli_stdout.json`` maps each command below to the stdout it must
+print. ``tests/data/three_boxes.json`` is the instance of the ``evaluate``
+and ``ratio`` commands. Its support is {0, 1, 3, 6, 7}, so the baselines 3,
+4.5 and 10 sit on a support point, between two points and above the largest.
+``ratio`` sweeps order-unaware rules only, so ``opt-maxprob`` appears under
+``evaluate`` alone.
+
+Regenerate the expected file only for an intended change of output:
+
+    PYTHONPATH=src python tests/test_cli_bytes.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+
+import pytest
+
+from prophet_order.cli import main
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+INSTANCE = os.path.join(DATA, "three_boxes.json")
+EXPECTED = os.path.join(DATA, "cli_stdout.json")
+
+OBJECTIVES = ("winprob", "winprob:3", "winprob:4.5", "winprob:10")
+
+COMMANDS = [
+    "constants",
+    "constants --format csv",
+    "reproduce example1",
+    "reproduce golden-lb",
+    "reproduce maxprob-lb --n 25",
+    "reproduce maxprob-lb --n 25 --format csv",
+    "reproduce single-threshold --n 400",
+    *(
+        f"evaluate -i INSTANCE -o 0,1,2 -p {spec} --obj {obj}"
+        for spec in ("maxprob", "opt-maxprob")
+        for obj in OBJECTIVES
+    ),
+    "evaluate -i INSTANCE -o 2,0,1 -p opt-maxprob --obj winprob:4.5 --format csv",
+    *(f"ratio -i INSTANCE -p maxprob --obj {obj}" for obj in OBJECTIVES),
+    "ratio -i INSTANCE -p maxprob --obj winprob:4.5 --format csv",
+]
+
+
+def _argv(command: str) -> list[str]:
+    return [INSTANCE if word == "INSTANCE" else word for word in command.split()]
+
+
+def _stdout(command: str) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(_argv(command))
+    assert code == 0, command
+    return buf.getvalue()
+
+
+def _expected() -> dict[str, str]:
+    with open(EXPECTED, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_every_command_is_pinned():
+    assert list(_expected()) == COMMANDS
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_stdout_matches_the_pinned_bytes(command):
+    assert _stdout(command) == _expected()[command]
+
+
+if __name__ == "__main__":
+    pinned = {command: _stdout(command) for command in COMMANDS}
+    with open(EXPECTED, "w", encoding="utf-8") as fh:
+        json.dump(pinned, fh, indent=1)
+        fh.write("\n")

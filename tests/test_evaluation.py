@@ -53,7 +53,7 @@ class TestObjective:
         assert Objective.parse("expectation") == Objective.expectation()
         assert Objective.parse("winprob") == Objective.winprob(0.0)
         assert Objective.parse("winprob:0.5") == Objective.winprob(0.5)
-        for text in ("entropy", "expectation:5", "expectation:", "winprob:"):
+        for text in ("entropy", "expectation:5", "expectation:", "winprob:", "winprob:x"):
             with pytest.raises(ValidationError, match="winprob:THETA"):
                 Objective.parse(text)
 

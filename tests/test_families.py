@@ -204,10 +204,11 @@ class TestSingleThresholdFamily:
             assert box.outcomes == ref.outcomes and box.cdf == ref.cdf, i
 
     def test_one_box_is_refused_as_from_pairs_refuses_it(self):
-        # At n = 1, p = 1 leaves the zero atom with probability 0.
+        # At n = 1, p = 1 leaves the zero atom with probability 0, which
+        # from_pairs refuses; the family names n before building any box.
         with pytest.raises(ValidationError, match="probability 0.0"):
             DiscreteDistribution.from_pairs([(0.0, 0.0), (1.0, 1.0)])
-        with pytest.raises(ValidationError, match="probability 0.0"):
+        with pytest.raises(ValueError, match=r"need n >= 2 .*got n=1, T=1"):
             single_threshold_family(1, 1)
 
     @pytest.mark.parametrize("T", [9888, 9990])

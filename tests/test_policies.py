@@ -308,10 +308,12 @@ class TestMakePolicy:
         inst = classic_two_box(0.25)
         order = Order((0, 1))
         assert make_policy("golden", inst).kind == "golden"
-        assert make_policy("maxprob", inst).baseline == 0.0
-        assert make_policy("maxprob", inst, baseline=0.5).baseline == 0.5
+        assert make_policy("maxprob", inst).kind == "maxprob"
         assert make_policy("opt-exp", inst, order).kind == "opt-exp"
-        assert make_policy("opt-maxprob", inst, order, baseline=0.25).baseline == 0.25
+        assert make_policy("opt-maxprob", inst, order).kind == "opt-maxprob"
+        # the win-probability baseline belongs to the objective alone
+        with pytest.raises(TypeError):
+            make_policy("maxprob", inst, baseline=0.5)
         for spec in ("maxprob:0.5", "opt-maxprob:0.25", "maxprob:"):
             with pytest.raises(ValidationError, match="--obj winprob:"):
                 make_policy(spec, inst, order)

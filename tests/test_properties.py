@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from prophet_order import (
     LN_INV_LAMBDA,
     PHI,
+    DecisionContext,
     DiscreteDistribution,
     GoldenPolicy,
     Instance,
@@ -23,6 +24,7 @@ from prophet_order import (
     SingleThresholdPolicy,
     brute_force,
     eval_exact,
+    make_policy,
     order_ratio_sweep,
     suffix_max,
     threshold_triple,
@@ -190,6 +192,33 @@ def test_split_pass_is_bit_identical_to_the_per_pair_pass_on_edge_laws(case, rul
             split = eval_exact(instance, order, policy, objective).value
             paired = eval_exact(instance, order, per_pair, objective).value
             assert split.hex() == paired.hex(), (policy.kind, objective)
+
+
+@SETTINGS
+@given(edge_cases(), st.sampled_from([0.0, 0.5, 1e6]))
+def test_max_prob_rules_built_without_the_baseline_act_as_rules_built_at_it(case, baseline):
+    # make_policy builds the max-prob rules without the objective's baseline;
+    # every prefix max an evaluator shows them is >= it.
+    instance, order = case
+    objective = Objective.winprob(baseline)
+    pairs = (
+        (make_policy("maxprob", instance), MaxProbPolicy(instance, baseline)),
+        (make_policy("opt-maxprob", instance, order), OptMaxProbPolicy(instance, order, baseline)),
+    )
+    grid = sorted({baseline} | {v for d in instance.distributions for v in d.values if v > baseline})
+    prefixes = grid + [(a + b) / 2.0 for a, b in zip(grid, grid[1:])] + [grid[-1] + 1.0]
+    seq = order.sequence
+    for built, floored in pairs:
+        for evaluate in (eval_exact, brute_force):
+            got = evaluate(instance, order, built, objective).value
+            want = evaluate(instance, order, floored, objective).value
+            assert got.hex() == want.hex(), (built.kind, evaluate.__name__)
+        for t in range(1, instance.n + 1):
+            remaining = frozenset(seq[t:])
+            for v in instance.box(seq[t - 1]).values:
+                for prefix in prefixes:
+                    c = DecisionContext(t, v, prefix, remaining)
+                    assert built.decide(c) == floored.decide(c), (built.kind, t, v, prefix)
 
 
 @SETTINGS
