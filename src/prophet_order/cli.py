@@ -133,24 +133,20 @@ def _emit_family(fam: FamilyInstance, directory: str) -> None:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     if args.family == "example1":
-        fam = example1(eps=args.eps if args.eps is not None else 1e-3)
+        fam = example1(eps=args.eps)
         report = _family_report(fam, GoldenPolicy(fam.instance), Objective.expectation())
     elif args.family == "golden-lb":
-        fam = golden_lb(
-            eps=args.eps if args.eps is not None else 1e-4,
-            step=args.step if args.step is not None else 0.05,
-        )
+        fam = golden_lb(eps=args.eps, step=args.step)
         report = _family_report(fam, GoldenPolicy(fam.instance), Objective.expectation())
     elif args.family == "maxprob-lb":
-        fam = maxprob_lb(n=args.n if args.n is not None else 200)
+        fam = maxprob_lb(n=args.n)
         report = _family_report(fam, MaxProbPolicy(fam.instance), Objective.winprob())
         accept_branch = next(r["alg"] for r in report["orders"] if r["name"] == "decreasing")
         report["accept_branch_winprob"] = accept_branch
         report["accept_branch_minus_lambda"] = accept_branch - LAMBDA
-    elif args.family == "single-threshold":
-        n = args.n if args.n is not None else 10000
-        T = args.T if args.T is not None else threshold_for_alpha(n, 1.12324)
-        fam = single_threshold_family(n, T)
+    else:
+        T = args.T if args.T is not None else threshold_for_alpha(args.n, 1.12324)
+        fam = single_threshold_family(args.n, T)
         curve = single_threshold_ratio_curve()
         alpha = fam.parameters["alpha"]
         exact = eval_exact(
@@ -170,8 +166,6 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             "exact_minus_closed_form": exact - formula,
             "limit_note": fam.limit_note,
         }
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValidationError(f"unknown family {args.family!r}")
 
     if args.emit:
         _emit_family(fam, args.emit)
@@ -242,14 +236,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratio.set_defaults(fn=cmd_ratio)
 
     p_rep = sub.add_parser("reproduce", help="run a worst-case family and report ratios vs limits")
-    p_rep.add_argument("family", choices=("example1", "golden-lb", "maxprob-lb", "single-threshold"))
-    p_rep.add_argument("--eps", type=float, default=None)
-    p_rep.add_argument("--step", type=float, default=None)
-    p_rep.add_argument("--n", type=int, default=None)
-    p_rep.add_argument("--T", type=int, default=None)
-    p_rep.add_argument("--emit", default=None, help="directory to write the family's JSON files")
-    p_rep.add_argument("--format", choices=("json", "csv"), default="json")
     p_rep.set_defaults(fn=cmd_reproduce)
+    # Each family takes its own flags, after its name, and the two shared ones.
+    families = p_rep.add_subparsers(dest="family", metavar="family", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--emit", default=None, help="directory to write the family's JSON files")
+    shared.add_argument("--format", choices=("json", "csv"), default="json")
+    p_ex1 = families.add_parser("example1", parents=[shared], help="sqrt(2), 1 and a rare box; 1/sqrt(2)")
+    p_ex1.add_argument("--eps", type=float, default=1e-3, help="rare value's probability (default: %(default)s)")
+    p_glb = families.add_parser("golden-lb", parents=[shared], help="golden's worst case; 1/phi")
+    p_glb.add_argument("--eps", type=float, default=1e-4, help="rare value's probability (default: %(default)s)")
+    p_glb.add_argument("--step", type=float, default=0.05,
+                       help="spacing of the values from phi down to 1 (default: %(default)s)")
+    p_mlb = families.add_parser("maxprob-lb", parents=[shared], help="maxprob's worst case; ln(1/lambda)")
+    p_mlb.add_argument("--n", type=int, default=200, help="number of rare boxes (default: %(default)s)")
+    p_st = families.add_parser("single-threshold", parents=[shared], help="the single-threshold ceiling ~0.57")
+    p_st.add_argument("--n", type=int, default=10000, help="number of boxes (default: %(default)s)")
+    p_st.add_argument("--T", type=int, default=None,
+                      help="the threshold value (default: the one for alpha = 1.12324 at this n)")
 
     return parser
 

@@ -76,8 +76,6 @@ class DiscreteDistribution:
         merged: dict[float, float] = {}
         for value, prob in pairs:
             v, p = float(value), float(prob)
-            if not math.isfinite(v) or v < 0.0:
-                raise ValidationError(f"value {v!r} is not a finite non-negative real")
             if not (0.0 < p <= 1.0 + PROB_SUM_TOL):
                 raise ValidationError(f"probability {p!r} outside (0, 1]")
             merged[v] = merged.get(v, 0.0) + p

@@ -46,8 +46,9 @@ class CapExceededError(RuntimeError):
 class Objective:
     """What to maximize: expected accepted value, or the chance of catching the max.
 
-    ``baseline`` is the standing value the accepted box must strictly exceed
-    for the win-probability objective; it is ignored for expectation.
+    ``kind`` is ``"expectation"`` or ``"winprob"``. ``baseline`` is the
+    standing value the accepted box must strictly exceed for the
+    win-probability objective; under expectation it must be 0.
     """
 
     kind: str
@@ -57,8 +58,12 @@ class Objective:
     WINPROB = "winprob"
 
     def __post_init__(self) -> None:
+        if self.kind not in (self.EXPECTATION, self.WINPROB):
+            raise ValidationError(f"objective kind {self.kind!r} is not expectation or winprob")
         if not math.isfinite(self.baseline) or self.baseline < 0.0:
             raise ValidationError(f"baseline must be finite and >= 0, got {self.baseline!r}")
+        if self.kind == self.EXPECTATION and self.baseline != 0.0:
+            raise ValidationError(f"the expectation objective takes no baseline, got {self.baseline!r}")
 
     @classmethod
     def expectation(cls) -> "Objective":

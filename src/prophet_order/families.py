@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 from .core import DiscreteDistribution, Instance, Order
 from .thresholds import LAMBDA, LN_INV_LAMBDA, PHI
@@ -237,24 +237,18 @@ class SingleThresholdReport:
     max_ratio: float
 
 
-DEFAULT_ALPHA_GRID = tuple(i * 0.01 for i in range(401))
+ALPHA_GRID = tuple(i * 0.01 for i in range(401))
 
 
-def single_threshold_ratio_curve(
-    grid: Optional[Sequence[float]] = None,
-) -> SingleThresholdReport:
-    """Evaluate the closed-form ratio on a grid and refine its maximizer.
+def single_threshold_ratio_curve() -> SingleThresholdReport:
+    """Evaluate the closed-form ratio on ``ALPHA_GRID`` and refine its maximizer.
 
-    The maximizer of the grid is refined by golden-section search between its
-    neighbors to 1e-6; the grid must be non-empty with alpha >= 0 and should
-    bracket the hump (the default grid covers [0, 4]).
+    The grid covers [0, 4], which brackets the hump. Its maximizer is refined
+    by golden-section search between its neighbors to 1e-6.
     """
-    alphas = list(DEFAULT_ALPHA_GRID if grid is None else grid)
-    if not alphas or any(a < 0.0 for a in alphas):
-        raise ValueError("grid must be non-empty with alpha >= 0")
     points = tuple(
         CurvePoint(a, closed_form_alg(a), closed_form_opt(a), closed_form_ratio(a))
-        for a in alphas
+        for a in ALPHA_GRID
     )
     best = max(range(len(points)), key=lambda i: points[i].ratio)
     lo = points[max(0, best - 1)].alpha

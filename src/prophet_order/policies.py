@@ -4,8 +4,12 @@ Order-unaware policies (adaptive golden-ratio thresholds, max-probability rule)
 read only the set of boxes still to come; order-aware optima are built for one
 fixed order by backward induction and keep thresholds per position (two for
 win probability). The context carries no order, so no policy can learn it.
-Every decision is a deterministic function of the :class:`DecisionContext`;
-internal caches are pure memoization keyed on context fields.
+Internal caches are keyed on context fields and keep the first value computed
+for a key. The max-probability rule multiplies in ascending box id, so its
+value for a set does not depend on how the set was built. The golden rule's
+law of a set extends the law of a walk's previous set in :meth:`GoldenPolicy.warm`
+and is built in ascending box id otherwise, so its tau may differ by rounding
+between the walks that first reach the set.
 
 Tie-breaking is uniform across policies: accept on threshold equality. The
 max-probability rule additionally requires the current value to strictly
@@ -71,10 +75,9 @@ class GoldenPolicy(Policy):
     is order-unaware: only the *set* of remaining boxes matters. With no boxes
     left tau is 0 and anything (including 0) is accepted.
 
-    Triples are cached by set. On a miss the law of the set is built by
-    extending the last law built when the set is that law's set plus one box,
-    as it is when :meth:`warm` walks an order from the back, and from scratch
-    otherwise. Only that last law is kept.
+    Triples are cached by set; no law is kept. :meth:`warm` fills the cache
+    for the sets of one order, and a set first reached any other way has its
+    law built from scratch, in ascending box id.
     """
 
     kind = "golden"
@@ -83,38 +86,32 @@ class GoldenPolicy(Policy):
     def __init__(self, instance: Instance):
         self.instance = instance
         self._triples: dict[frozenset[int], ThresholdTriple] = {}
-        self._last: tuple[frozenset[int], DiscreteDistribution] | None = None
 
     def triple(self, remaining_boxes: frozenset[int]) -> ThresholdTriple:
         cached = self._triples.get(remaining_boxes)
         if cached is None:
-            cached = threshold_triple(self._law(remaining_boxes))
-            self._triples[remaining_boxes] = cached
+            law = suffix_max(self.instance.box(b) for b in sorted(remaining_boxes))
+            cached = self._triples[remaining_boxes] = threshold_triple(law)
         return cached
 
     def warm(self, order: Order) -> None:
         """Compute the triples of the sets left after each position of ``order``.
 
         The sets are walked from the back, where each is the one after it plus
-        a box, so every law this builds extends the last one: O(support
-        points) per set, not per box. Skipped when the largest set is cached
-        already, as it is for every order but a few in a sweep.
+        a box, so each law extends the one before it: O(support points) per
+        set, not per box. Skipped when the largest set is cached already, as
+        it is for every order but a few in a sweep.
         """
         seq = order.sequence
         if frozenset(seq[1:]) in self._triples:
             return
+        law = suffix_max(())
         for t in range(len(seq), 0, -1):
-            self.triple(frozenset(seq[t:]))
-
-    def _law(self, boxes: frozenset[int]) -> DiscreteDistribution:
-        last = self._last
-        if last is not None and len(boxes) == len(last[0]) + 1 and last[0] < boxes:
-            (added,) = boxes - last[0]
-            law = suffix_max((last[1], self.instance.box(added)))
-        else:
-            law = suffix_max(self.instance.box(b) for b in sorted(boxes))
-        self._last = (boxes, law)
-        return law
+            if t < len(seq):
+                law = suffix_max((law, self.instance.box(seq[t])))
+            boxes = frozenset(seq[t:])
+            if boxes not in self._triples:
+                self._triples[boxes] = threshold_triple(law)
 
     def tau(self, remaining_boxes: frozenset[int]) -> float:
         return self.triple(remaining_boxes).tau
@@ -151,7 +148,7 @@ class MaxProbPolicy(Policy):
         cached = self._below.get(key)
         if cached is None:
             cached = math.prod(
-                self.instance.box(b).prob_below(value, strict=True) for b in remaining_boxes
+                self.instance.box(b).prob_below(value, strict=True) for b in sorted(remaining_boxes)
             )
             self._below[key] = cached
         return cached
@@ -249,20 +246,21 @@ class OptMaxProbPolicy(Policy):
         # t+1..n; after position n it is identically 0.
         nxt = dict.fromkeys(grid, 0.0)
         for t in range(n, 0, -1):
-            # Accepting at position t reads P[all later boxes < v] only for the
-            # values v of the box at t.
-            box = instance.box(seq[t - 1])
-            outcomes = [(v, p, win_factor(instance, order, t, v)) for v, p in box.outcomes]
-            for v, _, win in reversed(outcomes):
-                if win >= nxt[v]:
-                    take_from[t] = v
+            # A new maximum v contributes p * max(win, nxt[v]) whatever the
+            # prefix max theta; a value at or below theta wins nothing and
+            # contributes p * nxt[theta].
+            outcomes = []
+            for v, p in instance.box(seq[t - 1]).outcomes:
+                win, cont = win_factor(instance, order, t, v), nxt[v]
+                if win >= cont:
+                    take_from[t] = min(take_from[t], v)
+                outcomes.append((v, p, p * (win if win >= cont else cont)))
             row = {}
             for theta in reversed(grid):
+                cont = nxt[theta]
                 total = 0.0
-                for v, p, win in outcomes:
-                    payoff = win if v > theta else 0.0
-                    cont = nxt[theta if v <= theta else v]
-                    total += p * (payoff if payoff >= cont else cont)
+                for v, p, fresh in outcomes:
+                    total += p * cont if v <= theta else fresh
                 row[theta] = total
                 if total == 0.0:
                     dead_from[t - 1] = theta

@@ -370,6 +370,34 @@ class TestReproduce:
         assert_clean_exit_2(code, out, err)
         assert "boxes" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["example1", "--n", "9"],
+            ["golden-lb", "--T", "7"],
+            ["maxprob-lb", "--n", "3", "--eps", "0.5"],
+            ["single-threshold", "--step", "0.1"],
+        ],
+    )
+    def test_flag_the_family_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reproduce", *argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_help_shows_each_family_default(self, capsys):
+        for family, defaults in (
+            ("example1", ["0.001"]),
+            ("golden-lb", ["0.0001", "0.05"]),
+            ("maxprob-lb", ["200"]),
+            ("single-threshold", ["10000"]),
+        ):
+            with pytest.raises(SystemExit):
+                main(["reproduce", family, "--help"])
+            out = " ".join(capsys.readouterr().out.split())  # help wraps to the terminal width
+            for default in defaults:
+                assert f"(default: {default})" in out, family
+
     def test_unknown_family_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["reproduce", "mystery-family"])

@@ -64,6 +64,16 @@ class TestObjective:
         with pytest.raises(ValidationError, match="baseline"):
             Objective.parse(f"winprob:{baseline}")
 
+    def test_kind_and_expectation_baseline_checked_at_construction(self):
+        # A misspelt kind used to be evaluated as expectation, and a baseline
+        # under expectation was kept although nothing reads it.
+        with pytest.raises(ValidationError, match="'winprb' is not expectation or winprob"):
+            Objective("winprb")
+        with pytest.raises(ValidationError, match="expectation objective takes no baseline"):
+            Objective("expectation", 5.0)
+        assert Objective("winprob") == Objective.winprob() == Objective.parse("winprob")
+        assert Objective("expectation") == Objective.expectation() == Objective.parse("expectation")
+
     def test_winprob_requires_unique_max(self):
         inst = Instance.from_supports([[(1.0, 1.0)], [(1.0, 0.5), (2.0, 0.5)]])
         pol = GoldenPolicy(inst)

@@ -242,14 +242,6 @@ class TestRatioCurve:
         for point in rep.alpha_grid:
             assert point.ratio < rep.max_ratio + 1e-9
 
-    def test_custom_grid(self):
-        rep = single_threshold_ratio_curve([0.5, 1.0, 1.5, 2.0])
-        assert rep.alpha_star == pytest.approx(1.2324354, abs=1e-4)
-        with pytest.raises(ValueError):
-            single_threshold_ratio_curve([])
-        with pytest.raises(ValueError):
-            single_threshold_ratio_curve([-1.0])
-
 
 class TestHvBox:
     def test_mean_one(self):

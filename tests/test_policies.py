@@ -41,6 +41,21 @@ def classic_two_box(eps):
     )
 
 
+@pytest.fixture
+def suffix_max_members(monkeypatch):
+    """The number of laws in each ``suffix_max`` call that ``policies`` makes."""
+    members = []
+    original = policies.suffix_max
+
+    def recording(dists):
+        dists = tuple(dists)
+        members.append(len(dists))
+        return original(dists)
+
+    monkeypatch.setattr(policies, "suffix_max", recording)
+    return members
+
+
 class TestGoldenPolicy:
     def test_accepts_anything_on_last_box(self):
         inst = Instance.from_supports([[(0.0, 0.5), (1.0, 0.5)]])
@@ -73,23 +88,34 @@ class TestGoldenPolicy:
         assert pol.decide(ctx(1, tau, remaining={1}))
         assert not pol.decide(ctx(1, math.nextafter(tau, 0.0), remaining={1}))
 
-    def test_exact_walk_extends_one_law_per_position(self, monkeypatch):
+    def test_exact_walk_extends_one_law_per_position(self, suffix_max_members):
         # eval_exact builds the thresholds from the back of the order, where
         # each remaining set is the last one plus a box: after the empty set,
         # every law comes from the last law and that box, not from all boxes.
         inst = Instance.from_supports([[(0.0, 0.5), (float(k + 1), 0.5)] for k in range(30)])
-        members = []
-        original = policies.suffix_max
-
-        def recording(dists):
-            dists = tuple(dists)
-            members.append(len(dists))
-            return original(dists)
-
-        monkeypatch.setattr(policies, "suffix_max", recording)
         eval_exact(inst, Order.identity(30), GoldenPolicy(inst), Objective.expectation())
-        assert len(members) == 30
-        assert members[1:] == [2] * 29
+        assert len(suffix_max_members) == 30
+        assert suffix_max_members[1:] == [2] * 29
+
+    def test_warm_extends_its_law_past_sets_cached_by_another_order(self, suffix_max_members):
+        # The second order's walk finds every set but its largest cached by
+        # the first. It still carries its law through them, so the new set
+        # extends that law by one box, and every triple is the one a fresh
+        # walk of that order gives.
+        inst = Instance.from_supports(
+            [[(0.0, 0.3), (float(k + 1), 0.3), (10.0 + k, 0.4)] for k in range(5)]
+        )
+        first, second = Order((0, 1, 2, 3, 4)), Order((1, 0, 2, 3, 4))
+        policy = GoldenPolicy(inst)
+        policy.warm(first)
+        suffix_max_members.clear()
+        policy.warm(second)
+        assert suffix_max_members == [0, 2, 2, 2, 2]
+        fresh = GoldenPolicy(inst)
+        fresh.warm(second)
+        for t in range(1, 6):
+            remaining = frozenset(second.sequence[t:])
+            assert policy.triple(remaining) == fresh.triple(remaining), t
 
     def test_ignores_prefix_max_and_order(self):
         rng = random.Random(41)
@@ -134,6 +160,18 @@ class TestMaxProbPolicy:
         pol = MaxProbPolicy(inst)
         assert pol.prob_future_below(frozenset({1}), 1.0) == below
         assert pol.decide(ctx(1, 1.0, prefix=0.0, remaining={1})) == (below == LAMBDA)
+
+    def test_future_below_does_not_depend_on_how_the_set_was_built(self):
+        # Boxes 0, 8 and 16 collide in a small frozenset's hash table, so
+        # iteration follows insertion; the product is taken in box id order.
+        below = {0: 0.619, 8: 0.486, 16: 0.641}
+        inst = Instance.from_supports(
+            [[(0.0, below.get(b, 0.5)), (10.0 + b, 1.0 - below.get(b, 0.5))] for b in range(17)]
+        )
+        ascending = below[0] * below[8] * below[16]
+        for built in ((0, 8, 16), (16, 8, 0)):
+            got = MaxProbPolicy(inst).prob_future_below(frozenset(built), 5.0)
+            assert got.hex() == ascending.hex(), built
 
     def test_rejects_value_not_above_prefix(self):
         inst = Instance.from_supports([[(1.0, 1.0)], [(2.0, 1.0)]])
