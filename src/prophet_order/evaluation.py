@@ -4,6 +4,9 @@ Three independent routes compute a policy's performance on a fixed arrival
 order: an exact forward pass (``eval_exact``), full profile enumeration
 (``brute_force``), and seeded sampling (``monte_carlo``). The first two must
 agree to 1e-12 on any input both can handle; tests rely on that redundancy.
+All three enter through one check of their inputs, which also prepares the
+rule for the order, so each route is left only its own work. Their resource
+caps are the module constants ``STATE_CAP`` and ``PROFILE_CAP``.
 
 Win-probability semantics: a run wins iff the accepted value strictly exceeds
 the baseline and every other realized value. Instances where a positive value
@@ -31,8 +34,8 @@ from .policies import (
 )
 from .thresholds import PHI, win_factor, win_factors
 
-DEFAULT_STATE_CAP = 1_000_000
-DEFAULT_PROFILE_CAP = 1_000_000
+STATE_CAP = 1_000_000
+PROFILE_CAP = 1_000_000
 DEFAULT_PERM_CAP = 8
 
 AUDIT_SLACK = 1e-9
@@ -109,6 +112,12 @@ class EvalResult:
 
 
 def _check_inputs(instance: Instance, order: Order, policy: Policy, objective: Objective) -> None:
+    """Validate what every route reads, then prepare ``policy`` for ``order``.
+
+    A :class:`GoldenPolicy` computes its thresholds from the back of the order
+    (:meth:`GoldenPolicy.warm`), so each route reads the same tau for a set
+    whichever route runs first on a fresh rule.
+    """
     validate_order(instance, order)
     if objective.is_winprob:
         validate_instance(instance)
@@ -117,6 +126,8 @@ def _check_inputs(instance: Instance, order: Order, policy: Policy, objective: O
         built = getattr(policy, name, given)
         if built is not given and built != given:
             raise ValidationError(f"the {policy.kind} policy was built for another {name}")
+    if isinstance(policy, GoldenPolicy):
+        policy.warm(order)
 
 
 def _remaining_sets(order: Order) -> list[frozenset[int]]:
@@ -128,14 +139,7 @@ def _clamp_prob(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-def eval_exact(
-    instance: Instance,
-    order: Order,
-    policy: Policy,
-    objective: Objective,
-    *,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> EvalResult:
+def eval_exact(instance: Instance, order: Order, policy: Policy, objective: Objective) -> EvalResult:
     """Exact performance of ``policy`` on ``order``, no sampling involved.
 
     One forward pass over states (position, prefix max) computes every value
@@ -144,21 +148,18 @@ def eval_exact(
     threshold, hence below anything it accepts). A policy that does not read
     the prefix max keeps a single state under expectation, and one that
     declares ``splits_on_new_max`` is asked once per outcome and once per
-    state at a position, not once per pair. The pass counts
-    the states it holds beyond one per position, summed over positions, and
-    raises :class:`CapExceededError` once that count exceeds ``state_cap``;
-    use :func:`monte_carlo` on such inputs. A
-    :class:`GoldenPolicy` first computes its thresholds from the back of the
-    order (:meth:`GoldenPolicy.warm`), where each suffix law extends the one
-    after it, so the forward pass finds them cached.
+    state at a position, not once per pair. The pass counts the states it
+    holds beyond one per position, summed over positions, and raises
+    :class:`CapExceededError` once that count exceeds ``STATE_CAP``; use
+    :func:`monte_carlo` on such inputs. A :class:`GoldenPolicy` arrives warmed
+    for the order by the shared input check, so the pass finds its
+    thresholds cached.
     """
     _check_inputs(instance, order, policy, objective)
-    if isinstance(policy, GoldenPolicy):
-        policy.warm(order)
     if isinstance(policy, SingleThresholdPolicy) and objective.is_winprob:
         value = _threshold_winprob(instance, order, policy.threshold, objective.baseline)
         return EvalResult(_clamp_prob(value), "exact-dp")
-    return _state_dp(instance, order, policy, objective, state_cap)
+    return _state_dp(instance, order, policy, objective)
 
 
 def _threshold_winprob(instance: Instance, order: Order, threshold: float, baseline: float) -> float:
@@ -168,40 +169,33 @@ def _threshold_winprob(instance: Instance, order: Order, threshold: float, basel
     seq = order.sequence
     # Each position that holds a winnable value, up to the first box that
     # leaves no mass: the mass of passing every box before it, and its
-    # winnable values. A box's values ascend, so its largest tells.
-    reached: dict[int, tuple[float, list[float]]] = {}
+    # winnable outcomes. A box's values ascend, so its largest tells.
+    reached: dict[int, tuple[float, list[tuple[float, float]]]] = {}
     pass_mass = 1.0
     for t, bid in enumerate(seq, start=1):
         box = instance.box(bid)
         if winnable(box.values[-1]):
-            reached[t] = (pass_mass, [v for v in box.values if winnable(v)])
+            reached[t] = (pass_mass, [(v, p) for v, p in box.outcomes if winnable(v)])
         pass_mass *= box.prob_below(threshold, strict=True)
         if pass_mass == 0.0:
             break
-    factors = win_factors(instance, order, {t: values for t, (_, values) in reached.items()})
+    factors = win_factors(instance, order, {t: [v for v, _ in pairs] for t, (_, pairs) in reached.items()})
     total = 0.0
-    for t, (pass_mass, _) in reached.items():
+    for t, (pass_mass, pairs) in reached.items():
         wins = factors[t]
-        for v, p in instance.box(seq[t - 1]).outcomes:
-            if v in wins:
-                total += pass_mass * p * wins[v]
+        for v, p in pairs:
+            total += pass_mass * p * wins[v]
     return total
 
 
-def _state_dp(
-    instance: Instance,
-    order: Order,
-    policy: Policy,
-    objective: Objective,
-    state_cap: int,
-) -> EvalResult:
+def _state_dp(instance: Instance, order: Order, policy: Policy, objective: Objective) -> EvalResult:
     n = instance.n
     winprob = objective.is_winprob
     tracked = winprob or policy.uses_prefix_max
     seq = order.sequence
     rem = _remaining_sets(order)
     decide = policy.decide
-    theta0 = objective.baseline if winprob else 0.0
+    theta0 = objective.baseline
     states: dict[float, float] = {theta0: 1.0}
     extra = 0  # states held beyond one per position, summed over positions
     total = 0.0
@@ -241,9 +235,9 @@ def _state_dp(
         if not states:
             break
         extra += len(states) - 1
-        if extra > state_cap:
+        if extra > STATE_CAP:
             raise CapExceededError(
-                f"the exact pass holds more than {state_cap} states beyond one per position; "
+                f"the exact pass holds more than {STATE_CAP} states beyond one per position; "
                 "use monte_carlo for an estimate"
             )
     return EvalResult(_clamp_prob(total) if winprob else total, "exact-dp")
@@ -257,7 +251,7 @@ def _walk(
     values: Sequence[float],
 ) -> float:
     winprob = objective.is_winprob
-    prefix = objective.baseline if winprob else 0.0
+    prefix = objective.baseline
     for pos in range(1, len(seq) + 1):
         bid = seq[pos - 1]
         v = values[bid]
@@ -273,23 +267,16 @@ def _walk(
     return 0.0
 
 
-def brute_force(
-    instance: Instance,
-    order: Order,
-    policy: Policy,
-    objective: Objective,
-    *,
-    profile_cap: int = DEFAULT_PROFILE_CAP,
-) -> EvalResult:
+def brute_force(instance: Instance, order: Order, policy: Policy, objective: Objective) -> EvalResult:
     """Enumerate every value profile with its probability and simulate the policy.
 
     Independent of :func:`eval_exact`; serves as its oracle on small inputs.
     """
     _check_inputs(instance, order, policy, objective)
     n_profiles = math.prod(len(d.outcomes) for d in instance.distributions)
-    if n_profiles > profile_cap:
+    if n_profiles > PROFILE_CAP:
         raise CapExceededError(
-            f"{n_profiles} profiles exceed cap {profile_cap}; use monte_carlo or eval_exact"
+            f"{n_profiles} profiles exceed cap {PROFILE_CAP}; use monte_carlo or eval_exact"
         )
     seq = order.sequence
     rem = _remaining_sets(order)

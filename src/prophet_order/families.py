@@ -181,10 +181,8 @@ def single_threshold_family(n: int, T: int) -> FamilyInstance:
     period1 = list(range(T, T + k))
     period2 = list(range(n, T + k - 1, -1))
     period3 = list(range(T - 1, 0, -1))
-    order_values = period1 + period2 + period3
-    if len(order_values) != n:
-        raise AssertionError("period partition does not cover all boxes")
-    order = Order(tuple(v - 1 for v in order_values))
+    # k + (n - T - k + 1) + (T - 1) = n: the periods cover every box once.
+    order = Order(tuple(v - 1 for v in period1 + period2 + period3))
     alpha = (n - T) / math.sqrt(n)
     return FamilyInstance(
         name="single_threshold",

@@ -7,9 +7,10 @@ win probability). The context carries no order, so no policy can learn it.
 Internal caches are keyed on context fields and keep the first value computed
 for a key. The max-probability rule multiplies in ascending box id, so its
 value for a set does not depend on how the set was built. The golden rule's
-law of a set extends the law of a walk's previous set in :meth:`GoldenPolicy.warm`
-and is built in ascending box id otherwise, so its tau may differ by rounding
-between the walks that first reach the set.
+law of a set extends the law of the set after it in :meth:`GoldenPolicy.warm`,
+which each evaluator calls for its order before it asks the rule anything, and
+is built in ascending box id when a caller asks first. Its tau may differ by
+rounding between the orders (or the callers) that first reach the set.
 
 Tie-breaking is uniform across policies: accept on threshold equality. The
 max-probability rule additionally requires the current value to strictly
@@ -76,8 +77,9 @@ class GoldenPolicy(Policy):
     left tau is 0 and anything (including 0) is accepted.
 
     Triples are cached by set; no law is kept. :meth:`warm` fills the cache
-    for the sets of one order, and a set first reached any other way has its
-    law built from scratch, in ascending box id.
+    for the sets of one order, and every evaluator calls it first; a set that
+    a direct caller reaches first has its law built from scratch, in
+    ascending box id.
     """
 
     kind = "golden"

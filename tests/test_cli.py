@@ -111,6 +111,14 @@ class TestEvaluate:
         assert code == 0
         assert json.loads(out)["value"] > 0
 
+    def test_flag_evaluate_does_not_read_exits_2(self, capsys, classic2):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "-i", classic2, "-o", "0,1", "-p", "golden", "--obj", "expectation", "--n", "9"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: prophet-order evaluate ")
+        assert "prophet-order evaluate: error: unrecognized arguments: --n 9" in err
+
     def test_invalid_instance_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"boxes": [{"support": [[1.0, 0.5], [2.0, 0.6]]}]}))
@@ -383,7 +391,11 @@ class TestReproduce:
         with pytest.raises(SystemExit) as excinfo:
             main(["reproduce", *argv])
         assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        # The family's own parser names the flag it does not read: the last
+        # one of each case, with its value.
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: prophet-order reproduce {argv[0]} ")
+        assert f"prophet-order reproduce {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}" in err
 
     def test_help_shows_each_family_default(self, capsys):
         for family, defaults in (

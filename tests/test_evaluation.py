@@ -106,7 +106,7 @@ class TestEvalExactExamples:
         )
         assert res.value == 0.5
 
-    def test_stateless_rule_stays_outside_the_state_cap(self):
+    def test_stateless_rule_stays_outside_the_state_cap(self, monkeypatch):
         # Under expectation a rule that ignores the prefix max keeps one state
         # per position, so it holds no state that counts against the cap.
         # The rule accepts the first box of the identity order outright; the
@@ -116,12 +116,14 @@ class TestEvalExactExamples:
         exp = Objective.expectation()
         for order in (Order.identity(inst.n), Order((3, 2, 1, 0))):
             uncapped = eval_exact(inst, order, GoldenPolicy(inst), exp).value
-            for state_cap in (1, 0):
-                capped = eval_exact(inst, order, GoldenPolicy(inst), exp, state_cap=state_cap)
-                assert capped.value == uncapped
+            with monkeypatch.context() as capped_run:
+                for state_cap in (1, 0):
+                    capped_run.setattr(evaluation, "STATE_CAP", state_cap)
+                    capped = eval_exact(inst, order, GoldenPolicy(inst), exp)
+                    assert capped.value == uncapped
             assert abs(uncapped - brute_force(inst, order, GoldenPolicy(inst), exp).value) <= 1e-12
 
-    def test_state_cap_counts_the_states_held(self):
+    def test_state_cap_counts_the_states_held(self, monkeypatch):
         # Box i is 2i or 2i + 1 and the rule never accepts, so after each of
         # the n positions the pass holds two prefix maxima: one that counts.
         n = 4
@@ -131,9 +133,11 @@ class TestEvalExactExamples:
         order = Order.identity(n)
         never = FunctionPolicy(lambda ctx: False)
         exp = Objective.expectation()
-        assert eval_exact(inst, order, never, exp, state_cap=n).value == 0.0
+        monkeypatch.setattr(evaluation, "STATE_CAP", n)
+        assert eval_exact(inst, order, never, exp).value == 0.0
+        monkeypatch.setattr(evaluation, "STATE_CAP", n - 1)
         with pytest.raises(CapExceededError, match="monte_carlo"):
-            eval_exact(inst, order, never, exp, state_cap=n - 1)
+            eval_exact(inst, order, never, exp)
 
     def test_maxprob_lb_1000_lands_on_lambda_on_both_orders(self):
         # support x n = 2001 x 1001 is above the default cap, but the rule
@@ -174,14 +178,13 @@ class TestEvalExactExamples:
         assert asked == [{1: [100.0]}]
         assert res.value == 1.0
 
-    def test_state_cap_guard(self):
+    def test_state_cap_guard(self, monkeypatch):
         rng = random.Random(61)
         inst = random_instance(rng, 4, 3)
         order = Order.identity(inst.n)
+        monkeypatch.setattr(evaluation, "STATE_CAP", 1)
         with pytest.raises(CapExceededError, match="monte_carlo"):
-            eval_exact(
-                inst, order, MaxProbPolicy(inst, 0.0), Objective.expectation(), state_cap=1
-            )
+            eval_exact(inst, order, MaxProbPolicy(inst, 0.0), Objective.expectation())
 
 
 class TestOracleEquivalence:
@@ -245,13 +248,41 @@ class TestOracleEquivalence:
                 b = brute_force(inst, order, pol, obj).value
                 assert abs(a - b) <= 1e-12
 
-    def test_brute_force_cap(self):
+    def test_brute_force_cap(self, monkeypatch):
         inst = Instance.from_supports([[(0.0, 0.5), (1.0, 0.5)]] * 3)
+        monkeypatch.setattr(evaluation, "PROFILE_CAP", 7)
         with pytest.raises(CapExceededError):
-            brute_force(
-                inst, Order((0, 1, 2)), GoldenPolicy(inst), Objective.expectation(),
-                profile_cap=7,
-            )
+            brute_force(inst, Order((0, 1, 2)), GoldenPolicy(inst), Objective.expectation())
+
+
+class TestRouteOrder:
+    # The bare constructor keeps these probabilities' bits as written.
+    BOXES = (
+        ((0.0, 0.46081282814010116), (1.2734375, 0.1739862670647956), (5.5078125, 0.3652009047951033)),
+        ((9.90625, 1.0),),
+        ((1.8203125, 0.30644402863328524), (8.890625, 0.06922201274925353), (8.9609375, 0.6243339586174613)),
+        ((0.0, 0.45289363218050444), (7.0859375, 0.3533828711206384), (7.9765625, 0.19372349669885722)),
+    )
+
+    def test_every_route_reads_the_golden_thresholds_of_the_order(self):
+        # Built in ascending box id, tau({0, 2, 3}) lands one ulp away from
+        # the one built from the back of this order; each route must see the
+        # latter, whichever route runs first on a fresh rule.
+        inst = Instance(tuple(DiscreteDistribution(outcomes) for outcomes in self.BOXES))
+        order = Order((1, 2, 3, 0))
+        sets = [frozenset(order.sequence[t:]) for t in range(1, inst.n + 1)]
+        exp = Objective.expectation()
+        exact_first = GoldenPolicy(inst)
+        eval_exact(inst, order, exact_first, exp)
+        expected = [exact_first.tau(s).hex() for s in sets]
+        routes = {
+            "brute_force": lambda policy: brute_force(inst, order, policy, exp),
+            "monte_carlo": lambda policy: monte_carlo(inst, order, policy, exp, 100, 0),
+        }
+        for name, route in routes.items():
+            policy = GoldenPolicy(inst)
+            route(policy)
+            assert [policy.tau(s).hex() for s in sets] == expected, name
 
 
 class TestMonteCarlo:
