@@ -27,10 +27,10 @@ from .core import DiscreteDistribution, Instance, Order, ValidationError, valida
 from .thresholds import (
     LAMBDA,
     ThresholdTriple,
+    carry_win_factors,
     classic_thresholds,
     suffix_max,
     threshold_triple,
-    win_factor,
 )
 
 
@@ -210,10 +210,12 @@ class OptMaxProbPolicy(Policy):
     ranging over the baseline and every support value. Accepting v at position
     t wins w.p. [v > prefix_max] * P[all later boxes < v]; the rule accepts iff
     that payoff is >= the continuation value (ties go to accept), and
-    ``win_probability`` is the value at the start state. Only one row of
-    values is kept. Bit for bit, a row does not increase in the prefix max and
-    the payoff does not decrease in v, so the rule is two thresholds per
-    position: a new maximum v is taken iff v >= ``take_from[t]``, any other
+    ``win_probability`` is the value at the start state. The build keeps two
+    lists indexed by grid point: the row after the current position, and the
+    win factors P[all later boxes < v], carried back one box per position
+    (``thresholds.carry_win_factors``). Bit for bit, a row does not increase
+    in the prefix max and the payoff does not decrease in v, so the rule is
+    two thresholds per position: a new maximum v is taken iff v >= ``take_from[t]``, any other
     value iff the prefix max is >= ``dead_from[t]``, the least grid point from
     which positions t+1..n win nothing.
 
@@ -242,32 +244,50 @@ class OptMaxProbPolicy(Policy):
         n = instance.n
         seq = order.sequence
         grid = sorted({baseline} | {v for d in instance.distributions for v in d.values})
+        index = {v: i for i, v in enumerate(grid)}
+        size = len(grid)
         self.take_from = take_from = [math.inf] * (n + 1)  # index 0 unused
         self.dead_from = dead_from = [math.inf] * n + [grid[0]]
-        # nxt maps prefix max -> win probability of optimal play at positions
-        # t+1..n; after position n it is identically 0.
-        nxt = dict.fromkeys(grid, 0.0)
+        # nxt[i] is the win probability of optimal play at positions t+1..n
+        # from prefix max grid[i], and 0.0 from index dead on (size: nowhere);
+        # after position n it is identically 0. below[i] is
+        # win_factor(instance, order, t, grid[i]), carried back one box a step.
+        nxt = [0.0] * size
+        dead = 0
+        below = [1.0] * size
         for t in range(n, 0, -1):
+            box = instance.box(seq[t - 1])
             # A new maximum v contributes p * max(win, nxt[v]) whatever the
             # prefix max theta; a value at or below theta wins nothing and
             # contributes p * nxt[theta].
             outcomes = []
-            for v, p in instance.box(seq[t - 1]).outcomes:
-                win, cont = win_factor(instance, order, t, v), nxt[v]
+            for v, p in box.outcomes:
+                i = index[v]
+                win, cont = below[i], nxt[i]
                 if win >= cont:
                     take_from[t] = min(take_from[t], v)
                 outcomes.append((v, p, p * (win if win >= cont else cont)))
-            row = {}
-            for theta in reversed(grid):
-                cont = nxt[theta]
+            # Bit for bit a row does not increase in theta (see the class
+            # docstring; decide relies on it too), so nxt is 0.0 from dead on.
+            # Where theta is also at or above the box's largest value, every
+            # outcome contributes p * 0.0 and the entry stays 0.0 unsummed.
+            top = max(index[box.values[-1]], dead)
+            row = [0.0] * size
+            dead = top
+            for i in range(top - 1, -1, -1):
+                theta, cont = grid[i], nxt[i]
                 total = 0.0
                 for v, p, fresh in outcomes:
                     total += p * cont if v <= theta else fresh
-                row[theta] = total
+                row[i] = total
                 if total == 0.0:
-                    dead_from[t - 1] = theta
+                    dead = i
+            if dead < size:
+                dead_from[t - 1] = grid[dead]
             nxt = row
-        self.win_probability = nxt[baseline]
+            if t > 1:
+                carry_win_factors(below, grid, box)
+        self.win_probability = nxt[index[baseline]]
 
     def decide(self, ctx: DecisionContext) -> bool:
         v = ctx.current_value

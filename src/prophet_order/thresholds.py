@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import DiscreteDistribution, Instance, Order
 
@@ -91,13 +91,29 @@ def win_factor(instance: Instance, order: Order, position: int, value: float) ->
     The product runs from the last box back, one strict CDF at a time, and is
     1.0 after the last position. Keep that multiplication order:
     ``families.maxprob_lb`` tunes its probabilities so that exactly this
-    product lands on lambda. A call costs one lookup per later box.
+    product lands on lambda. A call costs one lookup per later box. The
+    forward pass of ``evaluation`` calls it per pair; ``win_factors`` (the
+    fixed-threshold pass) and ``carry_win_factors`` (``OptMaxProbPolicy``)
+    give the same products for many values, bit for bit.
     """
     dists = instance.distributions
     acc = 1.0
     for bid in reversed(order.sequence[position:]):
         acc *= dists[bid].prob_below(value, strict=True)
     return acc
+
+
+def carry_win_factors(acc: list[float], grid: Sequence[float], box: DiscreteDistribution) -> None:
+    """Multiply ``box``'s strict CDF into ``acc`` at every point of the sorted ``grid``, in place.
+
+    One back-to-front step of ``win_factor`` for a whole grid: if ``acc[i]``
+    is ``win_factor(instance, order, t, grid[i])`` and ``box`` is the box at
+    position t, it becomes the factor at position t - 1, bit for bit (start
+    from 1.0 after the last position). A box whose CDF table ends at exactly
+    1.0 leaves the points above its largest value alone, since x * 1.0 == x.
+    """
+    reach = bisect_right(grid, box.values[-1]) if box.cdf[-1] == 1.0 else len(grid)
+    acc[:reach] = [a * f for a, f in zip(acc, box.cdf_at(grid[:reach], strict=True))]
 
 
 def win_factors(

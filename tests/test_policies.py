@@ -284,6 +284,17 @@ class TestOptMaxProb:
         assert pol.decide(ctx(1, 1.0, prefix=0.0, remaining={1}))
         assert_decides_as_the_table(inst, Order((0, 1)), 0.0)
 
+    def test_a_table_ending_below_one_is_multiplied_above_its_points(self):
+        # Bare constructor: the later box's table ends one ulp below 1.0, so
+        # the win factor of 5.0 is that end, not 1.0; the carry may skip a box
+        # above its largest point only when its table ends at exactly 1.0.
+        end = math.nextafter(1.0, 0.0)
+        later = DiscreteDistribution(((1.0, 0.5), (2.0, end - 0.5)))
+        assert later.cdf[-1] == end
+        inst = Instance((DiscreteDistribution.point(5.0), later))
+        assert OptMaxProbPolicy(inst, Order((0, 1))).win_probability == end
+        assert_decides_as_the_table(inst, Order((0, 1)), 0.0)
+
     def test_decide_matches_the_full_table_rule(self):
         rng = random.Random(46)
         for _ in range(300):

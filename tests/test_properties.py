@@ -29,7 +29,7 @@ from prophet_order import (
     suffix_max,
     threshold_triple,
 )
-from prophet_order.thresholds import win_factor, win_factors
+from prophet_order.thresholds import carry_win_factors, win_factor, win_factors
 from tests.helpers import (
     FunctionPolicy,
     assert_decides_as_the_table,
@@ -229,6 +229,15 @@ def test_opt_maxprob_decides_as_the_full_table_on_edge_laws(case, baseline):
 
 
 @SETTINGS
+@given(near_one_cases(), st.sampled_from([0.0, 0.5, 1e6]))
+def test_opt_maxprob_decides_as_the_full_table_on_tables_ending_near_one(case, baseline):
+    # The build carries its win factors over the grid and may skip a box
+    # above its largest point only when the box's table ends at exactly 1.0.
+    instance, order = case
+    assert_decides_as_the_table(instance, order, baseline)
+
+
+@SETTINGS
 @given(edge_cases())
 def test_win_factor_matches_enumeration_on_edge_laws(case):
     instance, order = case
@@ -272,6 +281,30 @@ def test_win_factors_match_win_factor_bit_for_bit_on_tables_ending_near_one(case
     # A box whose table ends off 1.0 multiplies every value above its
     # largest point too: the carry may skip only boxes that end at 1.0.
     assert_win_factors_are_win_factor(*case, baseline)
+
+
+def assert_carried_factors_are_win_factor(instance, order):
+    """``carry_win_factors`` from the last box back gives ``win_factor`` by
+    ``float.hex`` at every position, on the support points, between them and
+    above them."""
+    values = sorted({v for d in instance.distributions for v in d.values})
+    grid = sorted(set(values) | {(a + b) / 2.0 for a, b in zip(values, values[1:])} | {values[-1] + 1.0})
+    acc = [1.0] * len(grid)
+    for t in range(instance.n, 0, -1):
+        assert [f.hex() for f in acc] == [win_factor(instance, order, t, x).hex() for x in grid], t
+        carry_win_factors(acc, grid, instance.box(order.sequence[t - 1]))
+
+
+@SETTINGS
+@given(edge_cases())
+def test_carried_win_factors_match_win_factor_bit_for_bit_on_edge_laws(case):
+    assert_carried_factors_are_win_factor(*case)
+
+
+@SETTINGS
+@given(near_one_cases())
+def test_carried_win_factors_match_win_factor_bit_for_bit_on_tables_ending_near_one(case):
+    assert_carried_factors_are_win_factor(*case)
 
 
 @SETTINGS

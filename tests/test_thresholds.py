@@ -20,7 +20,7 @@ from prophet_order import (
     threshold_triple,
 )
 from prophet_order.families import _seq_pow
-from prophet_order.thresholds import win_factor, win_factors
+from prophet_order.thresholds import carry_win_factors, win_factor, win_factors
 from tests.helpers import enumerate_max_law, random_instance, random_suffix_law
 
 
@@ -251,6 +251,25 @@ class TestWinFactor:
                     for b in reversed(seq[t:]):
                         want *= inst.box(b).prob_below(v, strict=True)
                     assert win_factor(inst, Order(seq), t, v).hex() == want.hex()
+
+
+class TestCarryWinFactors:
+    def test_each_step_is_win_factor_one_position_earlier(self):
+        inst = Instance.from_supports([[(1.0, 1.0)], [(0.0, 0.25), (2.0, 0.75)], [(3.0, 0.5), (4.0, 0.5)]])
+        order = Order((0, 1, 2))
+        grid = [0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0]
+        acc = [1.0] * len(grid)
+        for t in (3, 2, 1):
+            assert acc == [win_factor(inst, order, t, x) for x in grid]
+            carry_win_factors(acc, grid, inst.box(order.sequence[t - 1]))
+        assert acc == [0.0] * 5 + [0.5, 1.0]
+
+    def test_a_table_ending_below_one_multiplies_points_above_it(self):
+        end = math.nextafter(1.0, 0.0)
+        box = DiscreteDistribution(((1.0, 0.5), (2.0, end - 0.5)))
+        acc = [1.0, 1.0, 1.0]
+        carry_win_factors(acc, [1.0, 2.0, 5.0], box)
+        assert acc == [0.0, 0.5, end]
 
 
 class TestWinFactors:
