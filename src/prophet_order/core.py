@@ -35,9 +35,9 @@ class DiscreteDistribution:
     ``cdf``, where ``cdf[k]`` is the mass of the first k atoms
     (``cdf[0] == 0.0``). For a law built by the constructor each entry is the
     correctly rounded prefix sum, i.e. ``math.fsum`` of the first k
-    probabilities; a law of a maximum built by ``thresholds.suffix_max`` keeps
-    the CDF product it came from. Read the table through :meth:`prob_below`
-    and :meth:`cdf_at`.
+    probabilities, capped at 1.0; a law of a maximum built by
+    ``thresholds.suffix_max`` keeps the CDF product it came from. Read the
+    table through :meth:`prob_below` and :meth:`cdf_at`.
     """
 
     outcomes: tuple[tuple[float, float], ...]
@@ -60,6 +60,9 @@ class DiscreteDistribution:
         cdf = _prefix_sums(probs)
         if abs(cdf[-1] - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"probabilities sum to {cdf[-1]!r}, not 1")
+        if cdf[-1] > 1.0:
+            # A sum a little above 1 is valid, but no CDF may read above 1.
+            cdf = tuple(c if c < 1.0 else 1.0 for c in cdf)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "cdf", cdf)
 

@@ -64,10 +64,8 @@ def suffix_max(dists: Iterable[DiscreteDistribution]) -> DiscreteDistribution:
     """Exact law of the maximum value over the given boxes.
 
     The CDF at each support point is the product of the boxes' CDFs there,
-    taken in the order the boxes are given and capped at 1 (a box whose
-    probabilities sum to one ulp above 1 would otherwise give an outcome a
-    probability above 1). The law keeps that capped product as its CDF
-    table. The max over no boxes is a point mass at 0: it is below every
+    taken in the order the boxes are given; every table ends at or below 1,
+    so the product does too. The law keeps that product as its CDF table. The max over no boxes is a point mass at 0: it is below every
     positive value and has expectation 0.
 
     Each member's CDF is read off its table at every point of the merged
@@ -82,7 +80,7 @@ def suffix_max(dists: Iterable[DiscreteDistribution]) -> DiscreteDistribution:
     cdf = members[0].cdf_at(grid)
     for m in members[1:]:
         cdf = [c * f for c, f in zip(cdf, m.cdf_at(grid))]
-    return DiscreteDistribution._from_cdf(grid, [c if c < 1.0 else 1.0 for c in cdf])
+    return DiscreteDistribution._from_cdf(grid, cdf)
 
 
 def win_factor(instance: Instance, order: Order, position: int, value: float) -> float:

@@ -86,12 +86,14 @@ class TestSuffixMax:
             assert suffix_max(inst.distributions).outcomes == tuple(increments)
 
     def test_cdf_capped_at_one(self):
-        # A valid box whose probabilities sum to one ulp above 1.
+        # A valid box whose probabilities sum to one ulp above 1: its table
+        # is capped, so its CDF and the law's never read above 1.
         d = DiscreteDistribution(
             ((1.0, 0.25961622776015947), (2.0, 0.05747620389958546),
              (3.0, 0.6188763522845167), (4.0, 0.06403121605573854))
         )
-        assert d.prob_below(4.0) > 1.0
+        assert math.fsum(d.probabilities) > 1.0
+        assert d.prob_below(4.0) == 1.0
         law = suffix_max([d, DiscreteDistribution.point(100.0)])
         assert law.outcomes == ((100.0, 1.0),)
         assert math.fsum(law.probabilities) == 1.0
@@ -275,11 +277,12 @@ class TestCarryWinFactors:
 class TestWinFactors:
     @pytest.mark.parametrize("end", [math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)])
     def test_a_table_ending_off_one_multiplies_values_above_its_points(self, end):
-        # Bare constructor: the last box's table ends one ulp off 1.0, so
-        # P[it < 5] is that end, not 1.0, and the carry must not skip it.
+        # Bare constructor: the last box's probabilities sum to one ulp off
+        # 1.0. Below 1 its table ends there, so P[it < 5] is that end, not
+        # 1.0, and the carry must not skip it; above 1 the table is capped.
         later = DiscreteDistribution(((1.0, 0.5), (2.0, end - 0.5)))
-        assert later.cdf[-1] == end
+        assert later.cdf[-1] == min(end, 1.0)
         inst = Instance((DiscreteDistribution.point(5.0), later))
         got = win_factors(inst, Order((0, 1)), {1: [5.0], 2: [1.0, 2.0]})
-        assert got[1][5.0].hex() == win_factor(inst, Order((0, 1)), 1, 5.0).hex() == end.hex()
+        assert got[1][5.0].hex() == win_factor(inst, Order((0, 1)), 1, 5.0).hex() == later.cdf[-1].hex()
         assert got[2] == {1.0: 1.0, 2.0: 1.0}
