@@ -137,12 +137,9 @@ class DiscreteDistribution:
             return self.cdf[bisect_left(self.values, x)]
         return self.cdf[bisect_right(self.values, x)] if x == x else 0.0
 
-    def cdf_at(self, xs: Iterable[float], strict: bool = False) -> list[float]:
-        """[P[v <= x] for x in xs] (P[v < x] when ``strict``), each bit for bit
-        ``prob_below(x, strict)``."""
+    def cdf_at(self, xs: Iterable[float]) -> list[float]:
+        """[P[v <= x] for x in xs], each bit for bit ``prob_below(x)``."""
         values, table = self.values, self.cdf
-        if strict:
-            return [table[bisect_left(values, x)] for x in xs]
         return [table[bisect_right(values, x)] if x == x else 0.0 for x in xs]
 
     def sample(self, rng: random.Random) -> float:

@@ -107,11 +107,19 @@ def carry_win_factors(acc: list[float], grid: Sequence[float], box: DiscreteDist
     One back-to-front step of ``win_factor`` for a whole grid: if ``acc[i]``
     is ``win_factor(instance, order, t, grid[i])`` and ``box`` is the box at
     position t, it becomes the factor at position t - 1, bit for bit (start
-    from 1.0 after the last position). A box whose CDF table ends at exactly
-    1.0 leaves the points above its largest value alone, since x * 1.0 == x.
+    from 1.0 after the last position). The strict CDF is a step function, so
+    each run of grid points up to the next support point is multiplied by
+    one factor, read once. A box whose CDF table ends at exactly 1.0 leaves
+    the points above its largest value alone, since x * 1.0 == x.
     """
-    reach = bisect_right(grid, box.values[-1]) if box.cdf[-1] == 1.0 else len(grid)
-    acc[:reach] = [a * f for a, f in zip(acc, box.cdf_at(grid[:reach], strict=True))]
+    lo = 0
+    for v, f in zip(box.values, box.cdf):  # f = P[box < v] = P[box < x] for x in (previous point, v]
+        hi = bisect_right(grid, v)
+        acc[lo:hi] = [a * f for a in acc[lo:hi]]
+        lo = hi
+    f = box.cdf[-1]
+    if f != 1.0:
+        acc[lo:] = [a * f for a in acc[lo:]]
 
 
 def win_factors(
