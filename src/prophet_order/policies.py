@@ -215,9 +215,10 @@ class OptMaxProbPolicy(Policy):
     win factors P[all later boxes < v], carried back one box per position
     (``thresholds.carry_win_factors``). Bit for bit, a row does not increase
     in the prefix max and the payoff does not decrease in v, so the rule is
-    two thresholds per position: a new maximum v is taken iff v >= ``take_from[t]``, any other
-    value iff the prefix max is >= ``dead_from[t]``, the least grid point from
-    which positions t+1..n win nothing.
+    two thresholds per position: a new maximum v is taken iff
+    v >= ``take_from[t]``, any other value iff the prefix max is
+    >= ``dead_from[t]``, the least grid point from which positions t+1..n
+    win nothing.
 
     ``baseline`` is the grid's floor and ``win_probability``'s start state.
     Rules are built at 0, which decides every prefix max >= any b as one built
@@ -249,9 +250,9 @@ class OptMaxProbPolicy(Policy):
         self.take_from = take_from = [math.inf] * (n + 1)  # index 0 unused
         self.dead_from = dead_from = [math.inf] * n + [grid[0]]
         # nxt[i] is the win probability of optimal play at positions t+1..n
-        # from prefix max grid[i], and 0.0 from index dead on (size: nowhere);
-        # after position n it is identically 0. below[i] is
-        # win_factor(instance, order, t, grid[i]), carried back one box a step.
+        # from prefix max grid[i]; after position n it is identically 0.
+        # dead is its first zero (size if none), below[i] is
+        # win_factor(instance, order, t, grid[i]).
         nxt = [0.0] * size
         dead = 0
         below = [1.0] * size

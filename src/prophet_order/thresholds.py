@@ -65,8 +65,9 @@ def suffix_max(dists: Iterable[DiscreteDistribution]) -> DiscreteDistribution:
 
     The CDF at each support point is the product of the boxes' CDFs there,
     taken in the order the boxes are given; every table ends at or below 1,
-    so the product does too. The law keeps that product as its CDF table. The max over no boxes is a point mass at 0: it is below every
-    positive value and has expectation 0.
+    so the product does too. The law keeps that product as its CDF table.
+    The max over no boxes is a point mass at 0: it is below every positive
+    value and has expectation 0.
 
     Each member's CDF is read off its table at every point of the merged
     support, so a call costs O(support points x members) lookups. A member
@@ -107,13 +108,14 @@ def carry_win_factors(acc: list[float], grid: Sequence[float], box: DiscreteDist
     One back-to-front step of ``win_factor`` for a whole grid: if ``acc[i]``
     is ``win_factor(instance, order, t, grid[i])`` and ``box`` is the box at
     position t, it becomes the factor at position t - 1, bit for bit (start
-    from 1.0 after the last position). The strict CDF is a step function, so
-    each run of grid points up to the next support point is multiplied by
-    one factor, read once. A box whose CDF table ends at exactly 1.0 leaves
-    the points above its largest value alone, since x * 1.0 == x.
+    from 1.0 after the last position). The strict CDF is a step function:
+    ``cdf[k]`` is P[box < x] for every x in (values[k-1], values[k]], so each
+    such run of grid points is multiplied by one factor. A box whose CDF
+    table ends at exactly 1.0 leaves the points above its largest value
+    alone, since x * 1.0 == x.
     """
     lo = 0
-    for v, f in zip(box.values, box.cdf):  # f = P[box < v] = P[box < x] for x in (previous point, v]
+    for v, f in zip(box.values, box.cdf):
         hi = bisect_right(grid, v)
         acc[lo:hi] = [a * f for a in acc[lo:hi]]
         lo = hi
