@@ -5,7 +5,8 @@ print. ``tests/data/three_boxes.json`` is the instance of the ``evaluate``
 and ``ratio`` commands. Its support is {0, 1, 3, 6, 7}, so the baselines 3,
 4.5 and 10 sit on a support point, between two points and above the largest.
 ``ratio`` sweeps order-unaware rules only, so ``opt-maxprob`` appears under
-``evaluate`` alone.
+``evaluate`` alone. The four single-threshold specs under ``evaluate`` and
+``reproduce single-threshold`` run the fixed-threshold path of ``eval_exact``.
 
 Regenerate the expected file only for an intended change of output:
 
@@ -37,9 +38,10 @@ COMMANDS = [
     "reproduce maxprob-lb --n 25",
     "reproduce maxprob-lb --n 25 --format csv",
     "reproduce single-threshold --n 400",
+    "reproduce single-threshold --n 10000",
     *(
         f"evaluate -i INSTANCE -o 0,1,2 -p {spec} --obj {obj}"
-        for spec in ("maxprob", "opt-maxprob")
+        for spec in ("maxprob", "opt-maxprob", "median", "half-emax", "inv-e", "threshold:3")
         for obj in OBJECTIVES
     ),
     "evaluate -i INSTANCE -o 2,0,1 -p opt-maxprob --obj winprob:4.5 --format csv",
