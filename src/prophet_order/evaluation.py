@@ -20,6 +20,7 @@ import io
 import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,7 +33,7 @@ from .policies import (
     Policy,
     SingleThresholdPolicy,
 )
-from .thresholds import PHI, win_factor, win_factors
+from .thresholds import PHI, carry_win_factors, win_factor
 
 STATE_CAP = 1_000_000
 PROFILE_CAP = 1_000_000
@@ -143,9 +144,9 @@ def eval_exact(instance: Instance, order: Order, policy: Policy, objective: Obje
     """Exact performance of ``policy`` on ``order``, no sampling involved.
 
     One forward pass over states (position, prefix max) computes every value
-    but one: a fixed-threshold policy under win probability reduces to
-    prefix/suffix products (everything the rule passes is strictly below its
-    threshold, hence below anything it accepts). A policy that does not read
+    but one: a fixed-threshold policy under win probability passes only values
+    below anything it accepts, so it wins by prefix and suffix products
+    alone. A policy that does not read
     the prefix max keeps a single state under expectation, and one that
     declares ``splits_on_new_max`` is asked once per outcome and once per
     state at a position, not once per pair. The pass counts the states it
@@ -163,13 +164,19 @@ def eval_exact(instance: Instance, order: Order, policy: Policy, objective: Obje
 
 
 def _threshold_winprob(instance: Instance, order: Order, threshold: float, baseline: float) -> float:
+    """Win probability of a fixed threshold, by one walk forward and one back.
+
+    Forward to the first box that leaves no mass: each position holding a
+    winnable value, with the mass of passing the boxes before it. Back from
+    the last box to the first such position: P[every later box < v] carried
+    over the sorted winnable values, read at a position before its box.
+    """
+
     def winnable(v: float) -> bool:
         return v >= threshold and v > baseline
 
     seq = order.sequence
-    # Each position that holds a winnable value, up to the first box that
-    # leaves no mass: the mass of passing every box before it, and its
-    # winnable outcomes. A box's values ascend, so its largest tells.
+    # A box's values ascend, so its largest tells whether it holds a winnable one.
     reached: dict[int, tuple[float, list[tuple[float, float]]]] = {}
     pass_mass = 1.0
     for t, bid in enumerate(seq, start=1):
@@ -179,12 +186,23 @@ def _threshold_winprob(instance: Instance, order: Order, threshold: float, basel
         pass_mass *= box.prob_below(threshold, strict=True)
         if pass_mass == 0.0:
             break
-    factors = win_factors(instance, order, {t: [v for v, _ in pairs] for t, (_, pairs) in reached.items()})
+    if not reached:
+        return 0.0
+    # A winnable value is positive, and validate_instance makes a positive
+    # value unique to its box, so each grid value is read at one position.
+    grid = sorted(v for _, pairs in reached.values() for v, _ in pairs)
+    acc = [1.0] * len(grid)
+    win: dict[float, float] = {}
+    first = next(iter(reached))
+    for t in range(len(seq), first - 1, -1):
+        if t in reached:
+            win.update((v, acc[bisect_left(grid, v)]) for v, _ in reached[t][1])
+        if t > first:
+            carry_win_factors(acc, grid, instance.box(seq[t - 1]))
     total = 0.0
-    for t, (pass_mass, pairs) in reached.items():
-        wins = factors[t]
+    for pass_mass, pairs in reached.values():
         for v, p in pairs:
-            total += pass_mass * p * wins[v]
+            total += pass_mass * p * win[v]
     return total
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import DiscreteDistribution, Instance, Order
 
@@ -90,10 +90,11 @@ def win_factor(instance: Instance, order: Order, position: int, value: float) ->
     The product runs from the last box back, one strict CDF at a time, and is
     1.0 after the last position. Keep that multiplication order:
     ``families.maxprob_lb`` tunes its probabilities so that exactly this
-    product lands on lambda. A call costs one lookup per later box. The
-    forward pass of ``evaluation`` calls it per pair; ``win_factors`` (the
-    fixed-threshold pass) and ``carry_win_factors`` (``OptMaxProbPolicy``)
-    give the same products for many values, bit for bit.
+    product lands on lambda. A call costs one lookup per later box. Its
+    caller, the state pass of ``evaluation``, learns which pairs it pays only
+    as it goes; carrying them in one walk would store every paid term, up to
+    about ``STATE_CAP`` times the support size. ``MaxProbPolicy`` keeps its
+    own product, keyed by a set of boxes rather than a position.
     """
     dists = instance.distributions
     acc = 1.0
@@ -103,7 +104,7 @@ def win_factor(instance: Instance, order: Order, position: int, value: float) ->
 
 
 def carry_win_factors(acc: list[float], grid: Sequence[float], box: DiscreteDistribution) -> None:
-    """Multiply ``box``'s strict CDF into ``acc`` at every point of the sorted ``grid``, in place.
+    """Multiply ``box``'s strict CDF into ``acc`` at every point of the sorted, non-empty ``grid``, in place.
 
     One back-to-front step of ``win_factor`` for a whole grid: if ``acc[i]``
     is ``win_factor(instance, order, t, grid[i])`` and ``box`` is the box at
@@ -112,51 +113,19 @@ def carry_win_factors(acc: list[float], grid: Sequence[float], box: DiscreteDist
     ``cdf[k]`` is P[box < x] for every x in (values[k-1], values[k]], so each
     such run of grid points is multiplied by one factor. A box whose CDF
     table ends at exactly 1.0 leaves the points above its largest value
-    alone, since x * 1.0 == x.
+    alone, since x * 1.0 == x; when that is every point, the step returns at
+    once, so a walk pays next to nothing for a box below all its values.
     """
-    lo = 0
-    for v, f in zip(box.values, box.cdf):
-        hi = bisect_right(grid, v)
-        acc[lo:hi] = [a * f for a in acc[lo:hi]]
-        lo = hi
     f = box.cdf[-1]
+    if f == 1.0 and box.values[-1] < grid[0]:
+        return
+    lo = 0
+    for v, c in zip(box.values, box.cdf):
+        hi = bisect_right(grid, v)
+        acc[lo:hi] = [a * c for a in acc[lo:hi]]
+        lo = hi
     if f != 1.0:
         acc[lo:] = [a * f for a in acc[lo:]]
-
-
-def win_factors(
-    instance: Instance, order: Order, wanted: Mapping[int, Iterable[float]]
-) -> dict[int, dict[float, float]]:
-    """``{t: {v: win_factor(instance, order, t, v) for v in wanted[t]} for t in wanted}``, bit for bit.
-
-    One walk from the last box back carries a running product per value, in
-    ``win_factor``'s order, and drops a value past the first position that
-    wants it; it ends where no earlier position wants anything. A box whose
-    CDF table ends at exactly 1.0 skips the values above its largest point,
-    since x * 1.0 == x.
-    """
-    dists = instance.distributions
-    seq = order.sequence
-    first: dict[float, int] = {}  # value -> first position that wants it
-    for t in sorted(wanted):
-        for v in wanted[t]:
-            first.setdefault(v, t)
-    live = sorted(first)  # values some earlier position still wants
-    acc = dict.fromkeys(live, 1.0)
-    out: dict[int, dict[float, float]] = {t: {} for t in wanted}
-    for t in range(len(seq), 0, -1):
-        if t in wanted:
-            out[t] = {v: acc[v] for v in wanted[t]}
-            for v in out[t]:
-                if first[v] == t:
-                    del live[bisect_left(live, v)]
-        if not live:
-            break
-        box = dists[seq[t - 1]]
-        reach = bisect_right(live, box.values[-1]) if box.cdf[-1] == 1.0 else len(live)
-        for v in live[:reach]:
-            acc[v] *= box.prob_below(v, strict=True)
-    return out
 
 
 def expected_surplus(dist: DiscreteDistribution, c: float) -> float:

@@ -28,7 +28,7 @@ from prophet_order import (
     maxprob_lb,
 )
 from prophet_order import evaluation
-from prophet_order.thresholds import win_factor, win_factors
+from prophet_order.thresholds import carry_win_factors, win_factor
 from tests.helpers import FunctionPolicy, oracle_corpus, random_instance, random_order
 
 
@@ -167,15 +167,15 @@ class TestEvalExactExamples:
         # A sure accept at position 1 ends the sum: no later value is paid.
         rare = [DiscreteDistribution(((0.0, 0.5), (float(i), 0.5))) for i in range(1, 50)]
         inst = Instance((DiscreteDistribution.point(100.0), *rare))
-        asked = []
+        grids = []
 
-        def recording(instance, order, wanted):
-            asked.append(wanted)
-            return win_factors(instance, order, wanted)
+        def recording(acc, grid, box):
+            grids.append(list(grid))
+            carry_win_factors(acc, grid, box)
 
-        monkeypatch.setattr(evaluation, "win_factors", recording)
+        monkeypatch.setattr(evaluation, "carry_win_factors", recording)
         res = eval_exact(inst, Order.identity(50), SingleThresholdPolicy(0.5), Objective.winprob(0.0))
-        assert asked == [{1: [100.0]}]
+        assert grids and all(grid == [100.0] for grid in grids)
         assert res.value == 1.0
 
     def test_state_cap_guard(self, monkeypatch):

@@ -29,7 +29,7 @@ from prophet_order import (
     suffix_max,
     threshold_triple,
 )
-from prophet_order.thresholds import carry_win_factors, win_factor, win_factors
+from prophet_order.thresholds import carry_win_factors, win_factor
 from tests.helpers import (
     FunctionPolicy,
     assert_decides_as_the_table,
@@ -253,37 +253,6 @@ def test_win_factor_matches_enumeration_on_edge_laws(case):
             assert abs(win_factor(instance, order, t, v) - oracle) <= 1e-12, (t, v)
 
 
-def assert_win_factors_are_win_factor(instance, order, baseline):
-    """``win_factors`` equals ``win_factor`` by ``float.hex`` at every position
-    and wanted value: every value at every position, at a leading run of
-    positions, at every other position, and a threshold rule's winnable values."""
-    every = {t: instance.box(b).values for t, b in enumerate(order.sequence, start=1)}
-    cases = [every, {t: vs for t, vs in every.items() if t % 2}]
-    cases += [{t: vs for t, vs in every.items() if t <= k} for k in range(instance.n)]
-    for th in threshold_probes(instance):
-        cases.append({t: [v for v in vs if v >= th and v > baseline] for t, vs in every.items()})
-    for wanted in cases:
-        got = win_factors(instance, order, wanted)
-        assert set(got) == set(wanted)
-        for t, values in wanted.items():
-            ref = {v: win_factor(instance, order, t, v).hex() for v in values}
-            assert {v: f.hex() for v, f in got[t].items()} == ref, t
-
-
-@SETTINGS
-@given(edge_cases(), st.sampled_from([0.0, 0.5, 1e6]))
-def test_win_factors_match_win_factor_bit_for_bit_on_edge_laws(case, baseline):
-    assert_win_factors_are_win_factor(*case, baseline)
-
-
-@SETTINGS
-@given(near_one_cases(), st.sampled_from([0.0, 0.5, 1e6]))
-def test_win_factors_match_win_factor_bit_for_bit_on_tables_ending_near_one(case, baseline):
-    # A box whose table ends below 1.0 multiplies every value above its
-    # largest point too: the carry may skip only boxes that end at 1.0.
-    assert_win_factors_are_win_factor(*case, baseline)
-
-
 def assert_carried_factors_are_win_factor(instance, order):
     """``carry_win_factors`` from the last box back gives ``win_factor`` by
     ``float.hex`` at every position, on the support points, between them and
@@ -308,15 +277,28 @@ def test_carried_win_factors_match_win_factor_bit_for_bit_on_tables_ending_near_
     assert_carried_factors_are_win_factor(*case)
 
 
-@SETTINGS
-@given(edge_cases(), st.sampled_from([0.0, 0.5, 1e6]))
-def test_threshold_winprob_is_the_per_pair_loop_bit_for_bit_on_edge_laws(case, baseline):
-    instance, order = case
+def assert_threshold_winprob_is_the_per_pair_loop(instance, order, baseline):
+    """The fixed-threshold path equals one ``win_factor`` call per winnable
+    pair by ``float.hex``, at every ``threshold_probes`` threshold."""
     for threshold in threshold_probes(instance):
         policy = SingleThresholdPolicy(threshold)
         exact = eval_exact(instance, order, policy, Objective.winprob(baseline)).value
         oracle = per_pair_threshold_winprob(instance, order, threshold, baseline)
         assert exact.hex() == oracle.hex(), threshold
+
+
+@SETTINGS
+@given(edge_cases(), st.sampled_from([0.0, 0.5, 1e6]))
+def test_threshold_winprob_is_the_per_pair_loop_bit_for_bit_on_edge_laws(case, baseline):
+    assert_threshold_winprob_is_the_per_pair_loop(*case, baseline)
+
+
+@SETTINGS
+@given(near_one_cases(), st.sampled_from([0.0, 0.5, 1e6]))
+def test_threshold_winprob_is_the_per_pair_loop_bit_for_bit_on_tables_ending_near_one(case, baseline):
+    # The carry runs over the winnable values only, so a box may lie wholly
+    # below them; it may skip such a box only when its table ends at 1.0.
+    assert_threshold_winprob_is_the_per_pair_loop(*case, baseline)
 
 
 @SETTINGS

@@ -9,8 +9,11 @@ from prophet_order import (
     PHI,
     DiscreteDistribution,
     Instance,
+    Objective,
     Order,
+    SingleThresholdPolicy,
     classic_thresholds,
+    eval_exact,
     expected_surplus,
     maxprob_lb,
     solve_beta,
@@ -20,7 +23,7 @@ from prophet_order import (
     threshold_triple,
 )
 from prophet_order.families import _seq_pow
-from prophet_order.thresholds import carry_win_factors, win_factor, win_factors
+from prophet_order.thresholds import carry_win_factors, win_factor
 from tests.helpers import enumerate_max_law, random_instance, random_suffix_law
 
 
@@ -273,6 +276,14 @@ class TestCarryWinFactors:
         carry_win_factors(acc, [1.0, 2.0, 5.0], box)
         assert acc == [0.0, 0.5, end]
 
+    def test_a_table_ending_below_one_multiplies_a_grid_wholly_above_it(self):
+        # The whole-box skip holds only for a table that ends at exactly 1.0.
+        end = math.nextafter(1.0, 0.0)
+        box = DiscreteDistribution(((1.0, 0.5), (2.0, end - 0.5)))
+        acc = [1.0]
+        carry_win_factors(acc, [5.0], box)
+        assert acc == [end]
+
 
 class TestWinFactors:
     @pytest.mark.parametrize("end", [math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)])
@@ -283,6 +294,5 @@ class TestWinFactors:
         later = DiscreteDistribution(((1.0, 0.5), (2.0, end - 0.5)))
         assert later.cdf[-1] == min(end, 1.0)
         inst = Instance((DiscreteDistribution.point(5.0), later))
-        got = win_factors(inst, Order((0, 1)), {1: [5.0], 2: [1.0, 2.0]})
-        assert got[1][5.0].hex() == win_factor(inst, Order((0, 1)), 1, 5.0).hex() == later.cdf[-1].hex()
-        assert got[2] == {1.0: 1.0, 2.0: 1.0}
+        got = eval_exact(inst, Order((0, 1)), SingleThresholdPolicy(5.0), Objective.winprob())
+        assert got.value.hex() == later.cdf[-1].hex()
