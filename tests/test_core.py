@@ -132,6 +132,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match="sum to 1.1"):
             DiscreteDistribution(((1.0, 0.5), (2.0, 0.6)))
 
+    def test_bare_constructor_accepts_rounding_only(self):
+        # These atoms sum to 1 + 6e-10: brute_force weighed them as given and
+        # read 0.5000000003 where eval_exact read 0.5.
+        with pytest.raises(ValidationError, match="sum to"):
+            DiscreteDistribution(((0.0, 0.6), (1.0, 0.4 + 5e-10), (1e6, 1e-10)))
+        for end in (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)):
+            assert DiscreteDistribution(((1.0, 0.5), (2.0, end - 0.5))).cdf[-1] == min(end, 1.0)
+
     def test_duplicate_value_reported(self):
         with pytest.raises(ValidationError, match="strictly increasing"):
             DiscreteDistribution(((1.0, 0.5), (1.0, 0.5)))

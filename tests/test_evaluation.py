@@ -203,6 +203,16 @@ class TestOracleEquivalence:
         b = brute_force(inst, order, pol, Objective.expectation()).value
         assert abs(a - b) <= 1e-12
 
+    def test_routes_agree_on_atoms_summing_off_one_once_from_pairs_renormalizes(self):
+        # The bare constructor refuses these atoms (they sum to 1 + 6e-10).
+        d = DiscreteDistribution.from_pairs([(0.0, 0.6), (1.0, 0.4 + 5e-10), (1e6, 1e-10)])
+        inst = Instance((DiscreteDistribution.point(0.5), d))
+        order = Order((0, 1))
+        for pol in (GoldenPolicy(inst), OptExpectationPolicy(inst, order)):
+            a = eval_exact(inst, order, pol, Objective.expectation()).value
+            b = brute_force(inst, order, pol, Objective.expectation()).value
+            assert abs(a - b) <= 1e-12, pol.kind
+
     def test_all_policies_both_objectives_small_corpus(self):
         objectives = (Objective.expectation(), Objective.winprob(0.0))
         for inst in oracle_corpus()[:25]:
