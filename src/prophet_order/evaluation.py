@@ -186,19 +186,17 @@ def _threshold_winprob(instance: Instance, order: Order, threshold: float, basel
         pass_mass *= box.prob_below(threshold, strict=True)
         if pass_mass == 0.0:
             break
-    if not reached:
-        return 0.0
     # A winnable value is positive, and validate_instance makes a positive
     # value unique to its box, so each grid value is read at one position.
     grid = sorted(v for _, pairs in reached.values() for v, _ in pairs)
     acc = [1.0] * len(grid)
     win: dict[float, float] = {}
-    first = next(iter(reached))
-    for t in range(len(seq), first - 1, -1):
-        if t in reached:
-            win.update((v, acc[bisect_left(grid, v)]) for v, _ in reached[t][1])
-        if t > first:
-            carry_win_factors(acc, grid, instance.box(seq[t - 1]))
+    carried = len(seq)  # acc holds the win factors at position `carried`
+    for t in reversed(reached):
+        for bid in reversed(seq[t:carried]):
+            carry_win_factors(acc, grid, instance.box(bid))
+        carried = t
+        win.update((v, acc[bisect_left(grid, v)]) for v, _ in reached[t][1])
     total = 0.0
     for pass_mass, pairs in reached.values():
         for v, p in pairs:

@@ -90,11 +90,10 @@ def win_factor(instance: Instance, order: Order, position: int, value: float) ->
     The product runs from the last box back, one strict CDF at a time, and is
     1.0 after the last position. Keep that multiplication order:
     ``families.maxprob_lb`` tunes its probabilities so that exactly this
-    product lands on lambda. A call costs one lookup per later box. Its
-    caller, the state pass of ``evaluation``, learns which pairs it pays only
-    as it goes; carrying them in one walk would store every paid term, up to
-    about ``STATE_CAP`` times the support size. ``MaxProbPolicy`` keeps its
-    own product, keyed by a set of boxes rather than a position.
+    product lands on lambda. A call costs one lookup per later box. The state
+    pass of ``evaluation`` calls it per pair: it learns which pairs it pays
+    only as it goes, and one carry would have to store every paid term.
+    ``MaxProbPolicy`` keeps its own product, keyed by a set of boxes.
     """
     dists = instance.distributions
     acc = 1.0
@@ -113,8 +112,7 @@ def carry_win_factors(acc: list[float], grid: Sequence[float], box: DiscreteDist
     ``cdf[k]`` is P[box < x] for every x in (values[k-1], values[k]], so each
     such run of grid points is multiplied by one factor. A box whose CDF
     table ends at exactly 1.0 leaves the points above its largest value
-    alone, since x * 1.0 == x; when that is every point, the step returns at
-    once, so a walk pays next to nothing for a box below all its values.
+    alone, since x * 1.0 == x, and returns at once when that is every point.
     """
     f = box.cdf[-1]
     if f == 1.0 and box.values[-1] < grid[0]:
