@@ -93,7 +93,7 @@ def win_factor(instance: Instance, order: Order, position: int, value: float) ->
     product lands on lambda. A call costs one lookup per later box. The state
     pass of ``evaluation`` calls it per pair: it learns which pairs it pays
     only as it goes, and one carry would have to store every paid term.
-    ``MaxProbPolicy`` keeps its own product, keyed by a set of boxes.
+    ``MaxProbPolicy.prob_future_below`` keeps its own: it is keyed by a set.
     """
     dists = instance.distributions
     acc = 1.0
@@ -113,6 +113,8 @@ def carry_win_factors(acc: list[float], grid: Sequence[float], box: DiscreteDist
     such run of grid points is multiplied by one factor. A box whose CDF
     table ends at exactly 1.0 leaves the points above its largest value
     alone, since x * 1.0 == x, and returns at once when that is every point.
+    Its callers, ``OptMaxProbPolicy`` and the fixed-threshold pass of
+    ``evaluation``, know every value they read before they walk.
     """
     f = box.cdf[-1]
     if f == 1.0 and box.values[-1] < grid[0]:
