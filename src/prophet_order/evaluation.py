@@ -144,9 +144,9 @@ def eval_exact(instance: Instance, order: Order, policy: Policy, objective: Obje
     """Exact performance of ``policy`` on ``order``, no sampling involved.
 
     One forward pass over states (position, prefix max) computes every value
-    but one: a fixed-threshold policy under win probability passes only values
-    below anything it accepts, so it wins by prefix and suffix products
-    alone. A policy that does not read
+    but one: a fixed-threshold policy under win probability reduces to
+    prefix/suffix products (everything the rule passes is strictly below its
+    threshold, hence below anything it accepts). A policy that does not read
     the prefix max keeps a single state under expectation, and one that
     declares ``splits_on_new_max`` is asked once per outcome and once per
     state at a position, not once per pair. The pass counts the states it
