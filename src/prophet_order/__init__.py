@@ -3,7 +3,7 @@
 The package splits into: ``core`` (distributions, instances, orders),
 ``thresholds`` (suffix-max laws, the adaptive threshold pair, the constants),
 ``policies`` (all stopping rules), ``evaluation`` (exact / brute-force /
-Monte Carlo evaluators, ratio sweeps, audits), ``families`` (worst-case
+Monte Carlo evaluators, ratio sweeps), ``families`` (worst-case
 instance generators), and ``cli`` (the command-line harness).
 """
 
@@ -24,13 +24,11 @@ from .core import (
 from .evaluation import (
     CapExceededError,
     EvalResult,
-    ContinuationAuditRow,
     Objective,
     OrderRatio,
     RatioReport,
     brute_force,
     eval_exact,
-    continuation_audit,
     monte_carlo,
     order_ratio_sweep,
 )
@@ -67,9 +65,7 @@ from .thresholds import (
     ClassicThresholds,
     ThresholdTriple,
     classic_thresholds,
-    expected_surplus,
     solve_beta,
-    solve_beta_bisection,
     solve_lambda,
     suffix_max,
     threshold_triple,

@@ -55,9 +55,11 @@ def _parse_orders(text: str) -> list[Order]:
         with open(text, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         try:
-            return [Order(tuple(int(i) for i in seq)) for seq in data["orders"]]
-        except (TypeError, KeyError, ValueError):
-            raise ValidationError('orders file must be {"orders": [[ids...], ...]}') from None
+            return [Order.from_json_dict({"order": seq}) for seq in data["orders"]]
+        except (TypeError, KeyError, ValidationError):
+            raise ValidationError(
+                'orders file must be {"orders": [[ids...], ...]} with integer ids'
+            ) from None
     return [Order.from_string(chunk) for chunk in text.split(";") if chunk.strip()]
 
 

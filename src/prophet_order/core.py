@@ -207,15 +207,26 @@ class Instance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Instance":
+        """The instance ``{"boxes": [{"support": [[value, prob], ...]}, ...]}``.
+
+        Each support pair must be exactly two JSON numbers; a bool or a
+        string is not one.
+        """
         try:
-            supports = [
-                [(float(pair[0]), float(pair[1])) for pair in box["support"]] for box in data["boxes"]
-            ]
-        except (TypeError, KeyError, IndexError, ValueError):
+            supports = [[_number_pair(pair) for pair in box["support"]] for box in data["boxes"]]
+        except (TypeError, KeyError, ValueError):
             raise ValidationError(
                 'instance JSON must be {"boxes": [{"support": [[value, prob], ...]}, ...]}'
             ) from None
         return cls.from_supports(supports)
+
+
+def _number_pair(pair: object) -> tuple[float, float]:
+    """``pair`` as (value, prob) if it holds exactly two JSON numbers, else ValueError."""
+    v, p = pair
+    if type(v) not in (int, float) or type(p) not in (int, float):
+        raise ValueError(f"{pair!r} is not two numbers")
+    return float(v), float(p)
 
 
 @dataclass(frozen=True)
@@ -240,10 +251,11 @@ class Order:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Order":
-        try:
-            return cls(tuple(int(i) for i in data["order"]))
-        except (TypeError, KeyError, ValueError):
-            raise ValidationError('order JSON must be {"order": [ids...]}') from None
+        """The order ``{"order": [ids...]}``; every id must be a JSON integer, not a bool."""
+        ids = data.get("order") if isinstance(data, dict) else None
+        if not isinstance(ids, list) or any(type(i) is not int for i in ids):
+            raise ValidationError('order JSON must be {"order": [ids...]} with integer ids')
+        return cls(tuple(ids))
 
 
 def validate_instance(instance: Instance) -> None:

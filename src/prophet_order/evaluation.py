@@ -33,13 +33,11 @@ from .policies import (
     Policy,
     SingleThresholdPolicy,
 )
-from .thresholds import PHI, carry_win_factors, win_factor
+from .thresholds import carry_win_factors, win_factor
 
 STATE_CAP = 1_000_000
 PROFILE_CAP = 1_000_000
 DEFAULT_PERM_CAP = 8
-
-AUDIT_SLACK = 1e-9
 
 
 class CapExceededError(RuntimeError):
@@ -406,8 +404,11 @@ def order_ratio_sweep(
     backward induction (:class:`OptExpectationPolicy` or
     :class:`OptMaxProbPolicy`), so only ``policy`` is evaluated. Orders where
     the optimum is 0 are recorded with ratio 1 and flagged degenerate instead
-    of being dropped. An empty ``orders`` raises :class:`ValidationError`.
+    of being dropped. An empty ``orders`` or a ``perm_cap`` below 1 raises
+    :class:`ValidationError`.
     """
+    if perm_cap < 1:
+        raise ValidationError(f"perm_cap must be >= 1, got {perm_cap}")
     if orders is None:
         if instance.n > perm_cap:
             raise CapExceededError(
@@ -429,53 +430,3 @@ def order_ratio_sweep(
         rows.append(OrderRatio(order, alg_res.value, opt, ratio, degenerate, alg_res.method))
     worst = min(rows, key=lambda row: row.ratio)
     return RatioReport(tuple(rows), worst.ratio, worst.order)
-
-
-@dataclass(frozen=True)
-class ContinuationAuditRow:
-    t: int
-    alg_suffix_value: float
-    beta: float
-    alpha: float
-    ok_alg_vs_beta: bool
-    ok_beta_vs_alpha: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.ok_alg_vs_beta and self.ok_beta_vs_alpha
-
-
-def continuation_audit(instance: Instance, order: Order) -> list[ContinuationAuditRow]:
-    """Check, at every position t, that the adaptive policy's continuation value
-    dominates beta_t, and that beta_t >= E[y_t] / phi^2.
-
-    ``alg_suffix_value`` is the exact expected value of the adaptive policy run
-    on positions t+1..n alone; the t = n row is the (0, 0, 0) boundary. These
-    values come from one walk from the back of the order: the value from
-    position t on is E[y_t if y_t >= tau_t else (value from t+1 on)], where
-    tau_t depends only on the boxes after t, so it is the same threshold the
-    policy uses on the suffix as an instance of its own.
-    """
-    validate_order(instance, order)
-    golden = GoldenPolicy(instance)
-    golden.warm(order)
-    seq = order.sequence
-    rows: list[ContinuationAuditRow] = []
-    after = 0.0  # value of the policy on positions t+1..n
-    for t in range(instance.n, 0, -1):
-        triple = golden.triple(frozenset(seq[t:]))
-        rows.append(
-            ContinuationAuditRow(
-                t=t,
-                alg_suffix_value=after,
-                beta=triple.beta,
-                alpha=triple.alpha,
-                ok_alg_vs_beta=after >= triple.beta - AUDIT_SLACK,
-                ok_beta_vs_alpha=triple.beta >= triple.alpha / PHI - AUDIT_SLACK,
-            )
-        )
-        after = math.fsum(
-            p * (v if v >= triple.tau else after) for v, p in instance.box(seq[t - 1]).outcomes
-        )
-    rows.reverse()
-    return rows

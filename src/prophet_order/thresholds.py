@@ -137,13 +137,16 @@ def solve_beta(dist: DiscreteDistribution) -> float:
     """The unique x >= 0 with E[(y - phi*x)^+] = x, solved exactly.
 
     The left side is piecewise linear and non-increasing in x with breakpoints
-    at support values divided by phi; on each segment the equation is linear,
-    so the root is found by scanning segments and solving in closed form. Use
-    :func:`solve_beta_bisection` as an independent cross-check.
+    at support values divided by phi; on each segment the equation is linear
+    and solved in closed form. G(x) = E[(y - phi*x)^+] - x strictly
+    decreases, so the root lies in the first segment whose candidate is at
+    most its upper end, and such a segment always exists: in the last one the
+    candidate p*v / (1 + phi*p) is below v / phi. The scan returns from that
+    segment; no other solver runs. A law with E[y] = 0 stops at its first
+    segment with candidate 0. :func:`solve_beta_bisection` is an independent
+    cross-check for tests.
     """
     outs = dist.outcomes
-    if dist.expectation() == 0.0:
-        return 0.0
     m = len(outs)
     # suffix_p[a] = P[y >= outs[a].value], suffix_ev[a] = E[y; y >= outs[a].value]
     suffix_p = [0.0] * (m + 1)
@@ -154,16 +157,11 @@ def solve_beta(dist: DiscreteDistribution) -> float:
         suffix_ev[a] = suffix_ev[a + 1] + p * v
     # On x in [outs[a-1].value/phi, outs[a].value/phi) the active tail is a..m-1
     # and the equation reads suffix_ev[a] - phi*suffix_p[a]*x = x.
-    lower = 0.0
     for a in range(m):
-        upper = outs[a][0] / PHI
         candidate = suffix_ev[a] / (1.0 + PHI * suffix_p[a])
-        if lower <= candidate <= upper:
-            return candidate
-        lower = upper
-    # Float edge cases can leave every candidate marginally outside its
-    # segment; the bisection fallback is exact to tolerance.
-    return solve_beta_bisection(dist)
+        if candidate <= outs[a][0] / PHI:
+            break
+    return candidate
 
 
 def solve_beta_bisection(dist: DiscreteDistribution) -> float:

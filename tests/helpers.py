@@ -12,12 +12,15 @@ import itertools
 import math
 import random
 from bisect import bisect_right
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 from prophet_order import (
+    PHI,
     DecisionContext,
     DiscreteDistribution,
+    GoldenPolicy,
     Instance,
     Objective,
     OptMaxProbPolicy,
@@ -226,3 +229,56 @@ def oracle_corpus() -> tuple[Instance, ...]:
     """100 unique-max instances, n <= 4, support size <= 3."""
     rng = random.Random(ORACLE_CORPUS_SEED)
     return tuple(random_instance(rng, 4, 3) for _ in range(100))
+
+
+AUDIT_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class ContinuationAuditRow:
+    t: int
+    alg_suffix_value: float
+    beta: float
+    alpha: float
+    ok_alg_vs_beta: bool
+    ok_beta_vs_alpha: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.ok_alg_vs_beta and self.ok_beta_vs_alpha
+
+
+def continuation_audit(instance: Instance, order: Order) -> list[ContinuationAuditRow]:
+    """Check, at every position t, that the adaptive policy's continuation value
+    dominates beta_t, and that beta_t >= E[y_t] / phi^2.
+
+    ``alg_suffix_value`` is the exact expected value of the adaptive policy run
+    on positions t+1..n alone; the t = n row is the (0, 0, 0) boundary. These
+    values come from one walk from the back of the order: the value from
+    position t on is E[y_t if y_t >= tau_t else (value from t+1 on)], where
+    tau_t depends only on the boxes after t, so it is the same threshold the
+    policy uses on the suffix as an instance of its own.
+    """
+    validate_order(instance, order)
+    golden = GoldenPolicy(instance)
+    golden.warm(order)
+    seq = order.sequence
+    rows: list[ContinuationAuditRow] = []
+    after = 0.0  # value of the policy on positions t+1..n
+    for t in range(instance.n, 0, -1):
+        triple = golden.triple(frozenset(seq[t:]))
+        rows.append(
+            ContinuationAuditRow(
+                t=t,
+                alg_suffix_value=after,
+                beta=triple.beta,
+                alpha=triple.alpha,
+                ok_alg_vs_beta=after >= triple.beta - AUDIT_SLACK,
+                ok_beta_vs_alpha=triple.beta >= triple.alpha / PHI - AUDIT_SLACK,
+            )
+        )
+        after = math.fsum(
+            p * (v if v >= triple.tau else after) for v, p in instance.box(seq[t - 1]).outcomes
+        )
+    rows.reverse()
+    return rows

@@ -30,9 +30,7 @@ from prophet_order import (
     closed_form_ratio,
     eval_exact,
     example1,
-    expected_surplus,
     golden_lb,
-    continuation_audit,
     make_policy,
     maxprob_lb,
     order_ratio_sweep,
@@ -44,7 +42,9 @@ from prophet_order import (
     threshold_for_alpha,
     DiscreteDistribution,
 )
+from prophet_order.thresholds import expected_surplus
 from tests.helpers import (
+    continuation_audit,
     oracle_corpus,
     random_instance,
     random_order,

@@ -111,6 +111,18 @@ class TestEvaluate:
         assert code == 0
         assert json.loads(out)["value"] > 0
 
+    @pytest.mark.parametrize("ids", [[0.9, 1.2], [False, True], ["1", "0"], [1.0, 0.0]])
+    def test_order_file_with_non_integer_ids_exits_2(self, capsys, classic2, tmp_path, ids):
+        # int() used to truncate or coerce each of these into a valid order
+        opath = tmp_path / "order.json"
+        opath.write_text(json.dumps({"order": ids}))
+        code, out, err = run(
+            capsys,
+            ["evaluate", "-i", classic2, "-o", str(opath), "-p", "golden", "--obj", "expectation"],
+        )
+        assert_clean_exit_2(code, out, err)
+        assert "integer ids" in err
+
     def test_flag_evaluate_does_not_read_exits_2(self, capsys, classic2):
         with pytest.raises(SystemExit) as excinfo:
             main(["evaluate", "-i", classic2, "-o", "0,1", "-p", "golden", "--obj", "expectation", "--n", "9"])
@@ -270,6 +282,17 @@ class TestRatio:
         assert_clean_exit_2(code, out, err)
         assert "order list is empty" in err
 
+    @pytest.mark.parametrize("ids", [[0.9, 1.2], [False, True], ["1", "0"], [1.0, 0.0]])
+    def test_orders_file_with_non_integer_ids_exits_2(self, capsys, classic2, tmp_path, ids):
+        path = tmp_path / "orders.json"
+        path.write_text(json.dumps({"orders": [[0, 1], ids]}))
+        code, out, err = run(
+            capsys,
+            ["ratio", "-i", classic2, "-p", "golden", "--obj", "expectation", "--orders", str(path)],
+        )
+        assert_clean_exit_2(code, out, err)
+        assert "integer ids" in err
+
     def test_repeated_sweeps_byte_identical(self, capsys, classic2):
         argv = ["ratio", "-i", classic2, "-p", "maxprob", "--obj", "winprob"]
         code1, out1, _ = run(capsys, argv)
@@ -287,6 +310,15 @@ class TestRatio:
         )
         assert code == 3
         assert "cap" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_perm_cap_below_one_exits_2(self, capsys, classic2, cap):
+        code, out, err = run(
+            capsys,
+            ["ratio", "-i", classic2, "-p", "golden", "--obj", "expectation", "--perm-cap", cap],
+        )
+        assert_clean_exit_2(code, out, err)
+        assert f"perm_cap must be >= 1, got {cap}" in err
 
 
 class TestReproduce:

@@ -257,6 +257,9 @@ class TestJsonRoundTrip:
             {"boxes": [{"values": [[1.0, 1.0]]}]},
             {"boxes": 3},
             [],
+            {"boxes": [{"support": [[1, 1, 5]]}]},
+            {"boxes": [{"support": [[True, 1]]}]},
+            {"boxes": [{"support": [["1", "1"]]}]},
         ],
     )
     def test_from_json_dict_rejects_malformed_boxes(self, data):

@@ -20,7 +20,6 @@ from prophet_order import (
     ValidationError,
     brute_force,
     eval_exact,
-    continuation_audit,
     monte_carlo,
     order_ratio_sweep,
     example1,
@@ -29,7 +28,7 @@ from prophet_order import (
 )
 from prophet_order import evaluation
 from prophet_order.thresholds import carry_win_factors, win_factor
-from tests.helpers import FunctionPolicy, oracle_corpus, random_instance, random_order
+from tests.helpers import FunctionPolicy, continuation_audit, oracle_corpus, random_instance, random_order
 
 
 def classic_two_box(eps):

@@ -26,10 +26,16 @@ from prophet_order import (
     eval_exact,
     make_policy,
     order_ratio_sweep,
+    solve_beta,
     suffix_max,
     threshold_triple,
 )
-from prophet_order.thresholds import carry_win_factors, win_factor
+from prophet_order.thresholds import (
+    carry_win_factors,
+    expected_surplus,
+    solve_beta_bisection,
+    win_factor,
+)
 from tests.helpers import (
     FunctionPolicy,
     assert_decides_as_the_table,
@@ -299,6 +305,22 @@ def test_threshold_winprob_is_the_per_pair_loop_bit_for_bit_on_tables_ending_nea
     # The carry runs over the winnable values only, so a box may lie wholly
     # below them; it may skip such a box only when its table ends at 1.0.
     assert_threshold_winprob_is_the_per_pair_loop(*case, baseline)
+
+
+@SETTINGS
+@given(edge_cases())
+def test_solve_beta_meets_its_residual_and_the_bisection_on_edge_laws(case):
+    # Every box, and the law of every suffix of the order as the golden rule
+    # reads it. TestSolveBeta's 1e-10 holds on laws with E[y] <= 10; with values
+    # up to 1e6 an ulp of beta exceeds it, so the tolerance scales with E[y] above 1.
+    instance, order = case
+    seq = order.sequence
+    suffixes = (suffix_max(instance.box(b) for b in seq[t:]) for t in range(instance.n))
+    for law in (*instance.distributions, *suffixes):
+        beta = solve_beta(law)
+        tol = 1e-10 * max(1.0, law.expectation())
+        assert abs(expected_surplus(law, PHI * beta) - beta) <= tol, law
+        assert abs(beta - solve_beta_bisection(law)) <= tol, law
 
 
 @SETTINGS

@@ -14,16 +14,14 @@ from prophet_order import (
     SingleThresholdPolicy,
     classic_thresholds,
     eval_exact,
-    expected_surplus,
     maxprob_lb,
     solve_beta,
-    solve_beta_bisection,
     solve_lambda,
     suffix_max,
     threshold_triple,
 )
 from prophet_order.families import _seq_pow
-from prophet_order.thresholds import carry_win_factors, win_factor
+from prophet_order.thresholds import carry_win_factors, expected_surplus, solve_beta_bisection, win_factor
 from tests.helpers import enumerate_max_law, random_instance, random_suffix_law
 
 
