@@ -404,12 +404,13 @@ def order_ratio_sweep(
     backward induction (:class:`OptExpectationPolicy` or
     :class:`OptMaxProbPolicy`), so only ``policy`` is evaluated. Orders where
     the optimum is 0 are recorded with ratio 1 and flagged degenerate instead
-    of being dropped. An empty ``orders`` or a ``perm_cap`` below 1 raises
-    :class:`ValidationError`.
+    of being dropped. An empty ``orders``, or a ``perm_cap`` below 1 when the
+    sweep covers every permutation, raises :class:`ValidationError`; the cap
+    is not read when ``orders`` is given.
     """
-    if perm_cap < 1:
-        raise ValidationError(f"perm_cap must be >= 1, got {perm_cap}")
     if orders is None:
+        if perm_cap < 1:
+            raise ValidationError(f"perm_cap must be >= 1, got {perm_cap}")
         if instance.n > perm_cap:
             raise CapExceededError(
                 f"n={instance.n} exceeds the permutation cap {perm_cap}; "

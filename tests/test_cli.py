@@ -320,6 +320,15 @@ class TestRatio:
         assert_clean_exit_2(code, out, err)
         assert f"perm_cap must be >= 1, got {cap}" in err
 
+    def test_perm_cap_is_not_read_with_explicit_orders(self, capsys, classic2):
+        code, out, _ = run(
+            capsys,
+            ["ratio", "-i", classic2, "-p", "golden", "--obj", "expectation",
+             "--orders", "0,1", "--perm-cap", "0"],
+        )
+        assert code == 0
+        assert [row["order"] for row in json.loads(out)["per_order"]] == [[0, 1]]
+
 
 class TestReproduce:
     def test_example1_report(self, capsys):

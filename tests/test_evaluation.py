@@ -516,15 +516,21 @@ class TestContinuationAudit:
                 assert abs(row.alg_suffix_value - want) <= 1e-12, (row.t, order)
 
     def test_makes_no_eval_exact_call(self, monkeypatch):
+        # Every evaluation passes the shared input check, whatever name it is
+        # reached by, so recording that check sees any call the audit makes.
         calls = []
+        check = evaluation._check_inputs
 
         def recording(*args, **kwargs):
             calls.append(args)
-            return eval_exact(*args, **kwargs)
+            return check(*args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "eval_exact", recording)
+        monkeypatch.setattr(evaluation, "_check_inputs", recording)
         rng = random.Random(68)
         inst = random_instance(rng, 6, 4)
-        rows = continuation_audit(inst, random_order(rng, inst.n))
+        order = random_order(rng, inst.n)
+        rows = continuation_audit(inst, order)
         assert len(rows) == inst.n and calls == []
+        eval_exact(inst, order, GoldenPolicy(inst), Objective.expectation())
+        assert len(calls) == 1
 
