@@ -203,11 +203,15 @@ def _threshold_winprob(instance: Instance, order: Order, threshold: float, basel
 
 
 def _state_dp(instance: Instance, order: Order, policy: Policy, objective: Objective) -> EvalResult:
+    """The forward pass of :func:`eval_exact` over states (position, prefix max).
+
+    It builds a position's remaining set on reaching it, and pays an accepted
+    new maximum v the :func:`win_factor` of the later boxes, the last first.
+    """
     n = instance.n
     winprob = objective.is_winprob
     tracked = winprob or policy.uses_prefix_max
     seq = order.sequence
-    rem = _remaining_sets(order)
     decide = policy.decide
     theta0 = objective.baseline
     states: dict[float, float] = {theta0: 1.0}
@@ -215,7 +219,7 @@ def _state_dp(instance: Instance, order: Order, policy: Policy, objective: Objec
     total = 0.0
     for pos in range(1, n + 1):
         outcomes = instance.box(seq[pos - 1]).outcomes
-        remaining = rem[pos - 1]
+        remaining = frozenset(seq[pos:])
         # A rule that splits on a new maximum is asked once per outcome and
         # once per state wherever that is fewer calls than once per pair.
         # Every state is >= theta0, so a new maximum over any state is decided
@@ -240,7 +244,7 @@ def _state_dp(instance: Instance, order: Order, policy: Policy, objective: Objec
                     elif v > theta:
                         factor = factors.get(v)
                         if factor is None:
-                            factor = factors[v] = win_factor(instance, order, pos, v)
+                            factor = factors[v] = win_factor(map(instance.box, reversed(seq[pos:])), v)
                         total += mass * p * factor
                 else:
                     key = v if v > theta and tracked else theta
@@ -314,7 +318,11 @@ def monte_carlo(
     samples: int,
     seed: int,
 ) -> EvalResult:
-    """Sampled estimate with standard error; reproducible from the seed."""
+    """Sampled estimate with standard error; reproducible from the seed.
+
+    The sums run on payoffs divided by 2^(e - 1), e the ``frexp`` exponent of
+    the largest payoff possible, so no square overflows; the scaling is exact.
+    """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     _check_inputs(instance, order, policy, objective)
@@ -322,20 +330,22 @@ def monte_carlo(
     seq = order.sequence
     rem = _remaining_sets(order)
     dists = instance.distributions
+    top = 1.0 if objective.is_winprob else max(d.values[-1] for d in dists)
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
     s1 = 0.0
     s2 = 0.0
     for _ in range(samples):
         values = tuple(d.sample(rng) for d in dists)
-        payoff = _walk(seq, rem, policy, objective, values)
+        payoff = _walk(seq, rem, policy, objective, values) / scale
         s1 += payoff
         s2 += payoff * payoff
     mean = s1 / samples
     if samples > 1:
         var = max(0.0, (s2 - samples * mean * mean) / (samples - 1))
-        stderr = math.sqrt(var / samples)
+        stderr = math.sqrt(var / samples) * scale
     else:
         stderr = 0.0
-    return EvalResult(mean, "monte-carlo", samples=samples, stderr=stderr)
+    return EvalResult(mean * scale, "monte-carlo", samples=samples, stderr=stderr)
 
 
 @dataclass(frozen=True)

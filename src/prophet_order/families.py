@@ -117,31 +117,23 @@ def golden_lb(eps: float, step: float) -> FamilyInstance:
     )
 
 
-def _seq_pow(q: float, n: int) -> float:
-    """q**n evaluated as the sequential product the evaluators will compute."""
-    acc = 1.0
-    for _ in range(n):
-        acc *= q
-    return acc
-
-
 def maxprob_lb(n: int) -> FamilyInstance:
     """A deterministic 1/2 followed by n rare boxes with values 1..n.
 
     Each rare box realizes its value with probability eps chosen so that
     P[all rare boxes stay at 0] lands exactly on lambda in float arithmetic
     (the construction sits on the accept boundary of the max-probability rule,
-    so eps is nudged by ulps until the sequential product is >= lambda). An n
-    so large that one ulp of q moves that product by more than 1e-12 raises
+    so eps is nudged by ulps until ``win_factor``'s product is >= lambda). An
+    n so large that one ulp of q moves that product by more than 1e-12 raises
     ``ValueError``. Canonical orders run the rare boxes decreasing (the hard
     order) and increasing after the deterministic box.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     q = LAMBDA ** (1.0 / n)
-    while _seq_pow(q, n) < LAMBDA:
+    while math.prod([q] * n) < LAMBDA:
         q = math.nextafter(q, 1.0)
-    if abs(_seq_pow(q, n) - LAMBDA) > 1e-12:
+    if abs(math.prod([q] * n) - LAMBDA) > 1e-12:
         raise ValueError(f"n={n} is too large: P[every rare box is 0] cannot land within 1e-12 of lambda")
     eps = 1.0 - q
     boxes = [DiscreteDistribution.point(0.5)]

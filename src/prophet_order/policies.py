@@ -31,6 +31,7 @@ from .thresholds import (
     classic_thresholds,
     suffix_max,
     threshold_triple,
+    win_factor,
 )
 
 
@@ -149,10 +150,7 @@ class MaxProbPolicy(Policy):
         key = (remaining_boxes, value)
         cached = self._below.get(key)
         if cached is None:
-            cached = math.prod(
-                self.instance.box(b).prob_below(value, strict=True) for b in sorted(remaining_boxes)
-            )
-            self._below[key] = cached
+            cached = self._below[key] = win_factor(map(self.instance.box, sorted(remaining_boxes)), value)
         return cached
 
     def decide(self, ctx: DecisionContext) -> bool:
@@ -252,7 +250,7 @@ class OptMaxProbPolicy(Policy):
         # nxt[i] is the win probability of optimal play at positions t+1..n
         # from prefix max grid[i]; after position n it is identically 0.
         # dead is its first zero (size if none), below[i] is
-        # win_factor(instance, order, t, grid[i]).
+        # P[every box after position t < grid[i]].
         nxt = [0.0] * size
         dead = 0
         below = [1.0] * size

@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .core import DiscreteDistribution, Instance, Order
+from .core import DiscreteDistribution, Instance
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -84,37 +84,35 @@ def suffix_max(dists: Iterable[DiscreteDistribution]) -> DiscreteDistribution:
     return DiscreteDistribution._from_cdf(grid, cdf)
 
 
-def win_factor(instance: Instance, order: Order, position: int, value: float) -> float:
-    """P[every box after ``position`` (1-based) of ``order`` realizes strictly below ``value``].
+def win_factor(boxes: Iterable[DiscreteDistribution], value: float) -> float:
+    """P[every box in ``boxes`` realizes strictly below ``value``]; 1.0 for no boxes.
 
-    The product runs from the last box back, one strict CDF at a time, and is
-    1.0 after the last position. Keep that multiplication order:
-    ``families.maxprob_lb`` tunes its probabilities so that exactly this
-    product lands on lambda. A call costs one lookup per later box. The state
-    pass of ``evaluation`` calls it per pair: it learns which pairs it pays
-    only as it goes, and one carry would have to store every paid term.
-    ``MaxProbPolicy.prob_future_below`` keeps its own: it is keyed by a set.
+    The one per-value product of strict CDFs in the package, multiplied one
+    box at a time in the order the caller gives, so the caller fixes the
+    bits. A call costs one lookup per box. It serves callers that learn their
+    values as they go or key them by set: the state pass of ``evaluation``
+    passes the boxes after its position from the last one back, and
+    ``MaxProbPolicy.prob_future_below`` passes its set in ascending box id.
+    Callers that know every value before they walk carry the product over a
+    grid with :func:`carry_win_factors` instead.
     """
-    dists = instance.distributions
-    acc = 1.0
-    for bid in reversed(order.sequence[position:]):
-        acc *= dists[bid].prob_below(value, strict=True)
-    return acc
+    return math.prod((box.prob_below(value, strict=True) for box in boxes), start=1.0)
 
 
 def carry_win_factors(acc: list[float], grid: Sequence[float], box: DiscreteDistribution) -> None:
     """Multiply ``box``'s strict CDF into ``acc`` at every point of the sorted, non-empty ``grid``, in place.
 
-    One back-to-front step of ``win_factor`` for a whole grid: if ``acc[i]``
-    is ``win_factor(instance, order, t, grid[i])`` and ``box`` is the box at
-    position t, it becomes the factor at position t - 1, bit for bit (start
-    from 1.0 after the last position). The strict CDF is a step function:
-    ``cdf[k]`` is P[box < x] for every x in (values[k-1], values[k]], so each
-    such run of grid points is multiplied by one factor. A box whose CDF
-    table ends at exactly 1.0 leaves the points above its largest value
-    alone, since x * 1.0 == x, and returns at once when that is every point.
-    Its callers, ``OptMaxProbPolicy`` and the fixed-threshold pass of
-    ``evaluation``, know every value they read before they walk.
+    One back-to-front step of :func:`win_factor` for a whole grid: if
+    ``acc[i]`` is the factor of the boxes after position t, last one first,
+    at ``grid[i]`` and ``box`` is the box at t, it becomes the factor at
+    t - 1, bit for bit (start from 1.0 after the last position). The strict
+    CDF is a step function: ``cdf[k]`` is P[box < x] for every x in
+    (values[k-1], values[k]], so each such run of grid points is multiplied
+    by one factor. A box whose CDF table ends at exactly 1.0 leaves the
+    points above its largest value alone, since x * 1.0 == x, and returns at
+    once when that is every point. It serves callers that know every value
+    they read before they walk: ``OptMaxProbPolicy`` and the fixed-threshold
+    pass of ``evaluation``.
     """
     f = box.cdf[-1]
     if f == 1.0 and box.values[-1] < grid[0]:

@@ -36,6 +36,15 @@ GUARANTEE_CORPUS_SEED = 0x5EED_0001
 ORACLE_CORPUS_SEED = 0x5EED_0002
 
 
+def win_factor_after(instance: Instance, order: Order, position: int, value: float) -> float:
+    """P[every box after ``position`` (1-based) of ``order`` < ``value``], 1.0 after the last.
+
+    ``win_factor`` over the later boxes from the last one back, the
+    multiplication order of the exact pass and of ``carry_win_factors``.
+    """
+    return win_factor([instance.box(b) for b in reversed(order.sequence[position:])], value)
+
+
 class FunctionPolicy(Policy):
     """Wrap an arbitrary decision function, for custom rules in tests."""
 
@@ -71,7 +80,7 @@ class TableOptMaxProbPolicy(Policy):
         grid = sorted({baseline} | {v for d in instance.distributions for v in d.values})
         self._grid = grid
         self._win_factor = win = [{}] + [
-            {v: win_factor(instance, order, t, v) for v in instance.box(seq[t - 1]).values}
+            {v: win_factor_after(instance, order, t, v) for v in instance.box(seq[t - 1]).values}
             for t in range(1, n + 1)
         ]
         value_table: list[dict[float, float]] = [dict() for _ in range(n + 2)]
@@ -123,7 +132,7 @@ def assert_decides_as_the_table(inst, order, baseline):
 def per_pair_threshold_winprob(instance: Instance, order: Order, threshold: float, baseline: float) -> float:
     """Reference for the exact win probability of a single-threshold rule.
 
-    One forward sum over the order with one ``win_factor`` call per winnable
+    One forward sum over the order with one ``win_factor_after`` call per winnable
     outcome, clamped to [0, 1] as ``eval_exact`` clamps its value.
     ``eval_exact`` must match it bit for bit: its carried factors and its
     sum run in the same order.
@@ -135,7 +144,7 @@ def per_pair_threshold_winprob(instance: Instance, order: Order, threshold: floa
         box = instance.box(seq[pos - 1])
         for v, p in box.outcomes:
             if v >= threshold and v > baseline:
-                total += pass_mass * p * win_factor(instance, order, pos, v)
+                total += pass_mass * p * win_factor_after(instance, order, pos, v)
         pass_mass *= box.prob_below(threshold, strict=True)
         if pass_mass == 0.0:
             break

@@ -152,14 +152,33 @@ class TestEvalExactExamples:
         fam = maxprob_lb(400)
         calls = []
 
-        def recording(*args):
-            calls.append(args[2:])
-            return win_factor(*args)
+        def recording(boxes, value):
+            boxes = list(boxes)
+            calls.append((len(boxes), value))
+            return win_factor(boxes, value)
 
         monkeypatch.setattr(evaluation, "win_factor", recording)
         inst = fam.instance
         res = eval_exact(inst, fam.order("decreasing"), MaxProbPolicy(inst, 0.0), Objective.winprob(0.0))
-        assert calls == [(1, 0.5)]
+        assert calls == [(400, 0.5)]
+        assert abs(res.value - LAMBDA) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["decreasing", "increasing"])
+    def test_maxprob_lb_builds_only_the_remaining_set_it_reaches(self, monkeypatch, name):
+        # The rule accepts the deterministic first box, so the pass stops at
+        # position 1 and needs the set of the 400 boxes after it, no other.
+        fam = maxprob_lb(400)
+        sizes = []
+
+        def counting(ids):
+            built = frozenset(ids)
+            sizes.append(len(built))
+            return built
+
+        monkeypatch.setattr(evaluation, "frozenset", counting, raising=False)
+        inst = fam.instance
+        res = eval_exact(inst, fam.order(name), MaxProbPolicy(inst), Objective.winprob())
+        assert sizes == [400]
         assert abs(res.value - LAMBDA) <= 1e-12
 
     def test_threshold_winprob_pays_only_the_positions_it_reaches(self, monkeypatch):
@@ -323,6 +342,25 @@ class TestMonteCarlo:
         res = monte_carlo(inst, order, pol, Objective.expectation(), 100_000, seed=12345)
         assert res.stderr > 0.0
         assert abs(res.value - exact) <= 3.0 * res.stderr
+
+    @pytest.mark.parametrize("top", [1e160, 1e200, 1e300, 1.7e308])
+    def test_values_near_the_float_limit_keep_finite_sums(self, top):
+        # Squares of payoffs this large overflow unless the sums are scaled.
+        # Scaling by a power of two is exact: the estimate is that of the
+        # same instance 2^1000 times smaller, scaled back, bit for bit.
+        def estimate(big):
+            inst = Instance.from_supports([[(0.0, 0.5), (big, 0.5)], [(big / 3, 1.0)]])
+            order = Order((0, 1))
+            pol = GoldenPolicy(inst)
+            exact = eval_exact(inst, order, pol, Objective.expectation()).value
+            return exact, monte_carlo(inst, order, pol, Objective.expectation(), 2000, seed=1)
+
+        exact, res = estimate(top)
+        assert math.isfinite(res.value) and 0.0 < res.stderr < math.inf
+        assert abs(res.value - exact) <= 5.0 * res.stderr
+        _, small = estimate(math.ldexp(top, -1000))
+        assert res.value == math.ldexp(small.value, 1000)
+        assert res.stderr == math.ldexp(small.stderr, 1000)
 
     def test_rejects_nonpositive_samples(self):
         inst = classic_two_box(0.5)

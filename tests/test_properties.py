@@ -34,13 +34,13 @@ from prophet_order.thresholds import (
     carry_win_factors,
     expected_surplus,
     solve_beta_bisection,
-    win_factor,
 )
 from tests.helpers import (
     FunctionPolicy,
     assert_decides_as_the_table,
     enumerate_max_law,
     per_pair_threshold_winprob,
+    win_factor_after,
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -256,18 +256,18 @@ def test_win_factor_matches_enumeration_on_edge_laws(case):
         law = enumerate_max_law(later) if later else ((0.0, 1.0),)
         for v in probes:
             oracle = sum(p for u, p in law if u < v) if later else 1.0
-            assert abs(win_factor(instance, order, t, v) - oracle) <= 1e-12, (t, v)
+            assert abs(win_factor_after(instance, order, t, v) - oracle) <= 1e-12, (t, v)
 
 
 def assert_carried_factors_are_win_factor(instance, order):
-    """``carry_win_factors`` from the last box back gives ``win_factor`` by
+    """``carry_win_factors`` from the last box back gives ``win_factor_after`` by
     ``float.hex`` at every position, on the support points, between them and
     above them."""
     values = sorted({v for d in instance.distributions for v in d.values})
     grid = sorted(set(values) | {(a + b) / 2.0 for a, b in zip(values, values[1:])} | {values[-1] + 1.0})
     acc = [1.0] * len(grid)
     for t in range(instance.n, 0, -1):
-        assert [f.hex() for f in acc] == [win_factor(instance, order, t, x).hex() for x in grid], t
+        assert [f.hex() for f in acc] == [win_factor_after(instance, order, t, x).hex() for x in grid], t
         carry_win_factors(acc, grid, instance.box(order.sequence[t - 1]))
 
 

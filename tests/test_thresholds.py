@@ -20,9 +20,8 @@ from prophet_order import (
     suffix_max,
     threshold_triple,
 )
-from prophet_order.families import _seq_pow
-from prophet_order.thresholds import carry_win_factors, expected_surplus, solve_beta_bisection, win_factor
-from tests.helpers import enumerate_max_law, random_instance, random_suffix_law
+from prophet_order.thresholds import carry_win_factors, expected_surplus, solve_beta_bisection
+from tests.helpers import enumerate_max_law, random_instance, random_suffix_law, win_factor_after
 
 
 class TestConstants:
@@ -230,18 +229,18 @@ class TestWinFactor:
         q = 1.0 - fam.parameters["eps"]
         inst = fam.instance
         assert all(inst.box(b).prob_below(0.5, strict=True) == q for b in range(1, n + 1))
-        got = win_factor(inst, fam.order("decreasing"), 1, 0.5)
-        assert got.hex() == _seq_pow(q, n).hex()
+        got = win_factor_after(inst, fam.order("decreasing"), 1, 0.5)
+        assert got.hex() == math.prod([q] * n).hex()
 
     def test_strict_and_one_after_the_last_box(self):
         inst = Instance.from_supports([[(1.0, 1.0)], [(0.0, 0.25), (2.0, 0.75)], [(3.0, 0.5), (4.0, 0.5)]])
         order = Order((0, 1, 2))
-        assert win_factor(inst, order, 3, 0.0) == 1.0
-        assert win_factor(inst, order, 2, 3.0) == 0.0
-        assert win_factor(inst, order, 2, 4.0) == 0.5
-        assert win_factor(inst, order, 1, 2.0) == 0.0
-        assert win_factor(inst, order, 1, 5.0) == 1.0
-        assert win_factor(inst, Order((2, 0, 1)), 1, 2.5) == 1.0
+        assert win_factor_after(inst, order, 3, 0.0) == 1.0
+        assert win_factor_after(inst, order, 2, 3.0) == 0.0
+        assert win_factor_after(inst, order, 2, 4.0) == 0.5
+        assert win_factor_after(inst, order, 1, 2.0) == 0.0
+        assert win_factor_after(inst, order, 1, 5.0) == 1.0
+        assert win_factor_after(inst, Order((2, 0, 1)), 1, 2.5) == 1.0
 
     def test_product_runs_from_the_last_box_back(self):
         rng = random.Random(47)
@@ -253,7 +252,7 @@ class TestWinFactor:
                     want = 1.0
                     for b in reversed(seq[t:]):
                         want *= inst.box(b).prob_below(v, strict=True)
-                    assert win_factor(inst, Order(seq), t, v).hex() == want.hex()
+                    assert win_factor_after(inst, Order(seq), t, v).hex() == want.hex()
 
 
 class TestCarryWinFactors:
@@ -263,7 +262,7 @@ class TestCarryWinFactors:
         grid = [0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0]
         acc = [1.0] * len(grid)
         for t in (3, 2, 1):
-            assert acc == [win_factor(inst, order, t, x) for x in grid]
+            assert acc == [win_factor_after(inst, order, t, x) for x in grid]
             carry_win_factors(acc, grid, inst.box(order.sequence[t - 1]))
         assert acc == [0.0] * 5 + [0.5, 1.0]
 
