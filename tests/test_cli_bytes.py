@@ -8,9 +8,17 @@ and ``ratio`` commands. Its support is {0, 1, 3, 6, 7}, so the baselines 3,
 ``evaluate`` alone. The four single-threshold specs under ``evaluate`` and
 ``reproduce single-threshold`` run the fixed-threshold path of ``eval_exact``.
 
+Each command prints through one of the CLI's output shapes, and each shape is
+pinned in both formats: a flat result (``constants``; ``evaluate`` exact, and
+Monte Carlo with ``samples`` and ``stderr``, including the one-sample run
+whose stderr is 0.0), the per-order table of ``ratio``, and a ``reproduce``
+report, whose CSV keeps its scalar items only.
+
 Regenerate the expected file only for an intended change of output:
 
     PYTHONPATH=src python tests/test_cli_bytes.py
+
+It prints each command whose stdout was added, changed or removed.
 """
 
 from __future__ import annotations
@@ -34,11 +42,17 @@ COMMANDS = [
     "constants",
     "constants --format csv",
     "reproduce example1",
+    "reproduce example1 --format csv",
     "reproduce golden-lb",
     "reproduce maxprob-lb --n 25",
     "reproduce maxprob-lb --n 25 --format csv",
     "reproduce single-threshold --n 400",
+    "reproduce single-threshold --n 400 --format csv",
     "reproduce single-threshold --n 10000",
+    "evaluate -i INSTANCE -o 0,1,2 -p golden --obj expectation",
+    "evaluate -i INSTANCE -o 0,1,2 -p golden --obj expectation --format csv",
+    "evaluate -i INSTANCE -o 0,1,2 -p maxprob --obj winprob --mc 500 --seed 7",
+    "evaluate -i INSTANCE -o 0,1,2 -p golden --obj expectation --mc 1 --seed 0 --format csv",
     *(
         f"evaluate -i INSTANCE -o 0,1,2 -p {spec} --obj {obj}"
         for spec in ("maxprob", "opt-maxprob", "median", "half-emax", "inv-e", "threshold:3")
@@ -47,6 +61,8 @@ COMMANDS = [
     "evaluate -i INSTANCE -o 2,0,1 -p opt-maxprob --obj winprob:4.5 --format csv",
     *(f"ratio -i INSTANCE -p maxprob --obj {obj}" for obj in OBJECTIVES),
     "ratio -i INSTANCE -p maxprob --obj winprob:4.5 --format csv",
+    "ratio -i INSTANCE -p golden --obj expectation",
+    "ratio -i INSTANCE -p golden --obj expectation --format csv",
 ]
 
 
@@ -77,7 +93,17 @@ def test_stdout_matches_the_pinned_bytes(command):
 
 
 if __name__ == "__main__":
+    old = _expected() if os.path.exists(EXPECTED) else {}
     pinned = {command: _stdout(command) for command in COMMANDS}
     with open(EXPECTED, "w", encoding="utf-8") as fh:
         json.dump(pinned, fh, indent=1)
         fh.write("\n")
+    for command in pinned:
+        if command not in old:
+            print(f"added: {command}")
+        elif pinned[command] != old[command]:
+            print(f"changed: {command}")
+    for command in old:
+        if command not in pinned:
+            print(f"removed: {command}")
+    print(f"{len(pinned)} commands pinned")
