@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .core import (
@@ -63,36 +63,24 @@ def _parse_orders(text: str) -> list[Order]:
     return [Order.from_string(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+def _emit(args: argparse.Namespace, data: dict, table: Optional[list[list]] = None) -> None:
+    """Print a command's result: ``data`` as JSON, or CSV under ``--format csv``.
 
-
-def _print_json(data: dict) -> None:
-    _emit(json.dumps(data, indent=2))
-
-
-def _print_kv_csv(rows: list[tuple[str, object]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "value"])
-    for name, value in rows:
-        writer.writerow([name, repr(value) if isinstance(value, float) else value])
-    _emit(buf.getvalue())
+    The CSV is ``table`` when given, else the scalar items of ``data`` as
+    ``name,value`` rows. Floats are written by ``repr`` in both formats.
+    """
+    if args.format == "json":
+        sys.stdout.write(json.dumps(data, indent=2) + "\n")
+        return
+    if table is None:
+        scalars = [[k, v] for k, v in data.items() if not isinstance(v, (list, tuple, dict))]
+        table = [["name", "value"], *scalars]
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerows([repr(x) if isinstance(x, float) else x for x in row] for row in table)
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    data = {
-        "phi": PHI,
-        "one_over_phi": 1.0 / PHI,
-        "lambda": LAMBDA,
-        "ln_inv_lambda": LN_INV_LAMBDA,
-    }
-    if args.format == "csv":
-        _print_kv_csv(list(data.items()))
-    else:
-        _print_json(data)
+    _emit(args, {"phi": PHI, "one_over_phi": 1.0 / PHI, "lambda": LAMBDA, "ln_inv_lambda": LN_INV_LAMBDA})
     return 0
 
 
@@ -105,10 +93,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         result = monte_carlo(instance, order, policy, objective, samples=args.mc, seed=args.seed)
     else:
         result = eval_exact(instance, order, policy, objective)
-    if args.format == "csv":
-        _print_kv_csv(list(result.to_json_dict().items()))
-    else:
-        _print_json(result.to_json_dict())
+    _emit(args, {k: v for k, v in asdict(result).items() if v is not None})
     return 0
 
 
@@ -118,14 +103,20 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     policy = make_policy(args.policy, instance)
     orders = _parse_orders(args.orders) if args.orders else None
     report = order_ratio_sweep(instance, policy, objective, orders=orders, perm_cap=args.perm_cap)
-    if args.format == "csv":
-        _emit(report.to_csv())
-    else:
-        _print_json(report.to_json_dict())
+    data = {
+        "per_order": [{**asdict(row), "order": row.order.sequence} for row in report.per_order],
+        "min_ratio": report.min_ratio,
+        "argmin_order": report.argmin_order.sequence,
+    }
+    table = [["order", "alg", "opt", "ratio", "method"]] + [
+        [",".join(map(str, row.order.sequence)), row.alg, row.opt, row.ratio, row.method]
+        for row in report.per_order
+    ]
+    _emit(args, data, table)
     return 0
 
 
-def _emit_family(fam: FamilyInstance, directory: str) -> None:
+def _save_family(fam: FamilyInstance, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     save_instance(fam.instance, os.path.join(directory, "instance.json"))
     for name, order in fam.canonical_orders:
@@ -157,7 +148,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         ).value
         report = {
             "family": fam.name,
-            "parameters": _jsonable(fam.parameters),
+            "parameters": fam.parameters,
             "alpha_star": curve.alpha_star,
             "max_ratio": curve.max_ratio,
             "exact_winprob": exact,
@@ -167,17 +158,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         }
 
     if args.emit:
-        _emit_family(fam, args.emit)
+        _save_family(fam, args.emit)
         report["emitted_to"] = args.emit
-    if args.format == "csv":
-        _print_kv_csv([(k, v) for k, v in report.items() if not isinstance(v, (list, dict))])
-    else:
-        _print_json(report)
+    _emit(args, report)
     return 0
-
-
-def _jsonable(params: dict) -> dict:
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}
 
 
 def _family_report(fam: FamilyInstance, policy: Policy, objective: Objective) -> dict:
@@ -185,7 +169,7 @@ def _family_report(fam: FamilyInstance, policy: Policy, objective: Objective) ->
     named = fam.canonical_orders
     report = order_ratio_sweep(fam.instance, policy, objective, orders=[order for _, order in named])
     rows = [
-        {"name": name, "order": list(row.order.sequence), "alg": row.alg, "opt": row.opt, "ratio": row.ratio}
+        {"name": name, "order": row.order.sequence, "alg": row.alg, "opt": row.opt, "ratio": row.ratio}
         for (name, _), row in zip(named, report.per_order)
     ]
     # Two names may share one order (golden_lb's pi and pi_x_1); the last one
@@ -193,7 +177,7 @@ def _family_report(fam: FamilyInstance, policy: Policy, objective: Objective) ->
     argmin = [name for name, order in named if order == report.argmin_order][-1]
     return {
         "family": fam.name,
-        "parameters": _jsonable(fam.parameters),
+        "parameters": fam.parameters,
         "orders": rows,
         "min_ratio": report.min_ratio,
         "argmin_order": argmin,

@@ -15,8 +15,6 @@ appears in two boxes are rejected for this objective rather than tie-broken.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import random
@@ -100,14 +98,6 @@ class EvalResult:
     method: str  # "exact-dp" | "brute-force" | "monte-carlo"
     samples: Optional[int] = None
     stderr: Optional[float] = None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"value": self.value, "method": self.method}
-        if self.samples is not None:
-            out["samples"] = self.samples
-        if self.stderr is not None:
-            out["stderr"] = self.stderr
-        return out
 
 
 def _check_inputs(instance: Instance, order: Order, policy: Policy, objective: Objective) -> None:
@@ -363,39 +353,6 @@ class RatioReport:
     per_order: tuple[OrderRatio, ...]
     min_ratio: float
     argmin_order: Order
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_order": [
-                {
-                    "order": list(row.order.sequence),
-                    "alg": row.alg,
-                    "opt": row.opt,
-                    "ratio": row.ratio,
-                    "degenerate": row.degenerate,
-                    "method": row.method,
-                }
-                for row in self.per_order
-            ],
-            "min_ratio": self.min_ratio,
-            "argmin_order": list(self.argmin_order.sequence),
-        }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["order", "alg", "opt", "ratio", "method"])
-        for row in self.per_order:
-            writer.writerow(
-                [
-                    ",".join(str(i) for i in row.order.sequence),
-                    repr(row.alg),
-                    repr(row.opt),
-                    repr(row.ratio),
-                    row.method,
-                ]
-            )
-        return buf.getvalue()
 
 
 def order_ratio_sweep(

@@ -1,6 +1,5 @@
 import json
 import math
-
 import pytest
 
 from prophet_order import (
@@ -241,6 +240,22 @@ class TestRatio:
         lines = out.strip().splitlines()
         assert lines[0] == "order,alg,opt,ratio,method"
         assert len(lines) == 3
+
+    def test_report_serialization(self, capsys, tmp_path):
+        path = tmp_path / "pair.json"
+        save_instance(Instance.from_supports([[(1.0, 1.0)], [(2.0, 1.0)]]), str(path))
+        argv = ["ratio", "-i", str(path), "-p", "golden", "--obj", "expectation"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        data = json.loads(out)
+        assert set(data) == {"per_order", "min_ratio", "argmin_order"}
+        assert len(data["per_order"]) == 2
+        code, out, _ = run(capsys, argv + ["--format", "csv"])
+        assert code == 0
+        header, *rows = out.strip().splitlines()
+        assert header == "order,alg,opt,ratio,method"
+        assert len(rows) == 2
+        assert rows[0].endswith("exact-dp")
 
     def test_explicit_orders(self, capsys, classic2):
         code, out, _ = run(

@@ -429,18 +429,6 @@ class TestOrderRatioSweep:
             assert evaluated == [policy] * 6
             assert all(row.opt > 0 for row in rep.per_order)
 
-    def test_report_serialization(self):
-        inst = Instance.from_supports([[(1.0, 1.0)], [(2.0, 1.0)]])
-        rep = order_ratio_sweep(inst, GoldenPolicy(inst), Objective.expectation())
-        data = rep.to_json_dict()
-        assert set(data) == {"per_order", "min_ratio", "argmin_order"}
-        assert len(data["per_order"]) == 2
-        csv_text = rep.to_csv()
-        header, *rows = csv_text.strip().splitlines()
-        assert header == "order,alg,opt,ratio,method"
-        assert len(rows) == 2
-        assert rows[0].endswith("exact-dp")
-
 
 class TestPolicyBuiltForAnotherInput:
     """A rule built for one instance or order misreads another; every route refuses it."""
