@@ -16,6 +16,7 @@ from .core import (
     ValidationError,
     load_instance,
     load_order,
+    read_json,
     save_instance,
     save_order,
     validate_instance,

@@ -20,6 +20,7 @@ from .core import (
     ValidationError,
     load_instance,
     load_order,
+    read_json,
     save_instance,
     save_order,
 )
@@ -52,8 +53,7 @@ def _parse_order(text: str) -> Order:
 
 def _parse_orders(text: str) -> list[Order]:
     if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(text)
         try:
             return [Order.from_json_dict({"order": seq}) for seq in data["orders"]]
         except (TypeError, KeyError, ValidationError):
@@ -251,7 +251,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(leftover)}")
     try:
         return args.fn(args)
-    except (ValidationError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceededError as exc:

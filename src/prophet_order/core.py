@@ -214,6 +214,8 @@ class Instance:
         """
         try:
             supports = [[_number_pair(pair) for pair in box["support"]] for box in data["boxes"]]
+        except OverflowError:
+            raise ValidationError("instance JSON holds a number beyond float range") from None
         except (TypeError, KeyError, ValueError):
             raise ValidationError(
                 'instance JSON must be {"boxes": [{"support": [[value, prob], ...]}, ...]}'
@@ -284,9 +286,20 @@ def validate_order(instance: Instance, order: Order) -> None:
         )
 
 
-def load_instance(path: str) -> Instance:
+def read_json(path: str) -> object:
+    """The JSON document in the file at ``path``.
+
+    A document nested too deep to decode raises :class:`ValidationError`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return Instance.from_json_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValidationError(f"JSON in {path} is nested too deep to decode") from None
+
+
+def load_instance(path: str) -> Instance:
+    return Instance.from_json_dict(read_json(path))
 
 
 def save_instance(instance: Instance, path: str) -> None:
@@ -296,8 +309,7 @@ def save_instance(instance: Instance, path: str) -> None:
 
 
 def load_order(path: str) -> Order:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Order.from_json_dict(json.load(fh))
+    return Order.from_json_dict(read_json(path))
 
 
 def save_order(order: Order, path: str) -> None:

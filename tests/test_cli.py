@@ -1,7 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
+
 import pytest
 
+import prophet_order
 from prophet_order import (
     Instance,
     MaxProbPolicy,
@@ -159,6 +164,18 @@ class TestEvaluate:
         assert code == 2
         assert "instance JSON must be" in err
 
+    @pytest.mark.parametrize("pair", ["[1%s, 1]", "[1, 1%s]"], ids=["value", "probability"])
+    def test_integer_beyond_float_range_exits_2(self, capsys, tmp_path, pair):
+        # float() of a 401-digit JSON integer used to escape as an OverflowError
+        path = tmp_path / "huge.json"
+        path.write_text('{"boxes": [{"support": [%s]}]}' % (pair % ("0" * 400)))
+        code, out, err = run(
+            capsys,
+            ["evaluate", "-i", str(path), "-o", "0", "-p", "golden", "--obj", "expectation"],
+        )
+        assert_clean_exit_2(code, out, err)
+        assert "beyond float range" in err
+
     @pytest.mark.parametrize("obj", ["winprob:nan", "winprob:-1", "winprob:inf"])
     def test_bad_baseline_exits_2(self, capsys, tmp_path, obj):
         # with a nan baseline eval_exact gave 0.0 here while brute_force gave 1.0
@@ -219,6 +236,41 @@ class TestEvaluate:
         )
         assert code == 2
         assert "policy" in err
+
+
+class TestJsonNestedTooDeep:
+    """A JSON file nested past the decoder's recursion limit exits 2 from every flag that reads one."""
+
+    DEPTH = 200_000
+
+    @pytest.fixture
+    def deep(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * self.DEPTH + "]" * self.DEPTH)
+        return str(path)
+
+    @pytest.mark.parametrize("flag", ["-i", "-o", "--orders"])
+    def test_each_reader_exits_2(self, capsys, classic2, deep, flag):
+        # json.load used to escape as a RecursionError with exit 1
+        argv = {
+            "-i": ["evaluate", "-i", deep, "-o", "0", "-p", "golden", "--obj", "expectation"],
+            "-o": ["evaluate", "-i", classic2, "-o", deep, "-p", "golden", "--obj", "expectation"],
+            "--orders": ["ratio", "-i", classic2, "-p", "golden", "--obj", "expectation", "--orders", deep],
+        }[flag]
+        code, out, err = run(capsys, argv)
+        assert_clean_exit_2(code, out, err)
+        assert "nested too deep" in err
+
+    def test_module_run_prints_no_traceback(self, deep):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(prophet_order.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "prophet_order.cli", "evaluate", "-i", deep, "-o", "0", "-p", "golden",
+             "--obj", "expectation"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert_clean_exit_2(proc.returncode, proc.stdout, proc.stderr)
+        assert "nested too deep" in proc.stderr
 
 
 class TestRatio:
