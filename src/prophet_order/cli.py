@@ -104,7 +104,11 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     orders = _parse_orders(args.orders) if args.orders else None
     report = order_ratio_sweep(instance, policy, objective, orders=orders, perm_cap=args.perm_cap)
     data = {
-        "per_order": [{**asdict(row), "order": row.order.sequence} for row in report.per_order],
+        "per_order": [
+            {"order": row.order.sequence, "alg": row.alg, "opt": row.opt, "ratio": row.ratio,
+             "degenerate": row.degenerate, "method": row.method}
+            for row in report.per_order
+        ],
         "min_ratio": report.min_ratio,
         "argmin_order": report.argmin_order.sequence,
     }

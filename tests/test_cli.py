@@ -164,11 +164,11 @@ class TestEvaluate:
         assert code == 2
         assert "instance JSON must be" in err
 
-    @pytest.mark.parametrize("pair", ["[1%s, 1]", "[1, 1%s]"], ids=["value", "probability"])
+    @pytest.mark.parametrize("pair", [[10**400, 1], [1, 10**400]], ids=["value", "probability"])
     def test_integer_beyond_float_range_exits_2(self, capsys, tmp_path, pair):
         # float() of a 401-digit JSON integer used to escape as an OverflowError
         path = tmp_path / "huge.json"
-        path.write_text('{"boxes": [{"support": [%s]}]}' % (pair % ("0" * 400)))
+        path.write_text(json.dumps({"boxes": [{"support": [pair]}]}))
         code, out, err = run(
             capsys,
             ["evaluate", "-i", str(path), "-o", "0", "-p", "golden", "--obj", "expectation"],
