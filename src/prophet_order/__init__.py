@@ -34,7 +34,6 @@ from .evaluation import (
     order_ratio_sweep,
 )
 from .families import (
-    CurvePoint,
     FamilyInstance,
     SingleThresholdReport,
     closed_form_alg,

@@ -37,8 +37,9 @@ class DiscreteDistribution:
     (``cdf[0] == 0.0``). For a law built by the constructor each entry is the
     correctly rounded prefix sum, i.e. ``math.fsum`` of the first k
     probabilities, capped at 1.0; a law of a maximum built by
-    ``thresholds.suffix_max`` keeps the CDF product it came from. Read the
-    table through :meth:`prob_below` and :meth:`cdf_at`.
+    ``thresholds.suffix_max`` keeps the CDF product it came from. The CDF
+    is read only through the table: :meth:`prob_below` (P[v < x]),
+    :meth:`cdf_at` (P[v <= x]) and :meth:`sample` (its inverse).
     """
 
     outcomes: tuple[tuple[float, float], ...]
@@ -134,26 +135,21 @@ class DiscreteDistribution:
     def expectation(self) -> float:
         return math.fsum(v * p for v, p in self.outcomes)
 
-    def prob_below(self, x: float, strict: bool = False) -> float:
-        """P[v < x] when ``strict``, else P[v <= x]; 0 when ``x`` is NaN."""
-        if strict:
-            return self.cdf[bisect_left(self.values, x)]
-        return self.cdf[bisect_right(self.values, x)] if x == x else 0.0
+    def prob_below(self, x: float) -> float:
+        """P[v < x]; 0 when ``x`` is NaN."""
+        return self.cdf[bisect_left(self.values, x)]
 
     def cdf_at(self, xs: Iterable[float]) -> list[float]:
-        """[P[v <= x] for x in xs], each bit for bit ``prob_below(x)``."""
+        """[P[v <= x] for x in xs]; 0 where ``x`` is NaN."""
         values, table = self.values, self.cdf
         return [table[bisect_right(values, x)] if x == x else 0.0 for x in xs]
 
     def sample(self, rng: random.Random) -> float:
-        """Draw one value using the inverse CDF of ``rng.random()``."""
-        u = rng.random()
-        acc = 0.0
-        for v, p in self.outcomes:
-            acc += p
-            if u < acc:
-                return v
-        return self.outcomes[-1][0]
+        """The least value whose CDF exceeds u = ``rng.random()``; the largest if none does."""
+        k = bisect_right(self.cdf, rng.random())
+        if k > len(self.values):
+            return self.values[-1]
+        return self.values[k - 1]
 
 
 def _prefix_sums(probs: Sequence[float]) -> tuple[float, ...]:
@@ -289,13 +285,16 @@ def validate_order(instance: Instance, order: Order) -> None:
 def read_json(path: str) -> object:
     """The JSON document in the file at ``path``.
 
-    A document nested too deep to decode raises :class:`ValidationError`.
+    A file that is not UTF-8 JSON, or a document nested too deep to decode,
+    raises :class:`ValidationError` naming ``path``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise ValidationError(f"JSON in {path} is nested too deep to decode") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot decode JSON in {path}: {exc}") from None
 
 
 def load_instance(path: str) -> Instance:

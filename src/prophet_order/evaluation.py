@@ -171,7 +171,7 @@ def _threshold_winprob(instance: Instance, order: Order, threshold: float, basel
         box = instance.box(bid)
         if winnable(box.values[-1]):
             reached[t] = (pass_mass, [(v, p) for v, p in box.outcomes if winnable(v)])
-        pass_mass *= box.prob_below(threshold, strict=True)
+        pass_mass *= box.prob_below(threshold)
         if pass_mass == 0.0:
             break
     # A winnable value is positive, and validate_instance makes a positive

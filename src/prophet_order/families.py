@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .core import DiscreteDistribution, Instance, Order
 from .thresholds import LAMBDA, LN_INV_LAMBDA, PHI
@@ -213,16 +212,8 @@ def closed_form_ratio(alpha: float) -> float:
     return closed_form_alg(alpha) / closed_form_opt(alpha)
 
 
-class CurvePoint(NamedTuple):
-    alpha: float
-    alg: float
-    opt: float
-    ratio: float
-
-
 @dataclass(frozen=True)
 class SingleThresholdReport:
-    alpha_grid: tuple[CurvePoint, ...]
     alpha_star: float
     max_ratio: float
 
@@ -231,24 +222,16 @@ ALPHA_GRID = tuple(i * 0.01 for i in range(401))
 
 
 def single_threshold_ratio_curve() -> SingleThresholdReport:
-    """Evaluate the closed-form ratio on ``ALPHA_GRID`` and refine its maximizer.
+    """Bracket the closed-form ratio's maximum on ``ALPHA_GRID`` and refine it.
 
     The grid covers [0, 4], which brackets the hump. Its maximizer is refined
     by golden-section search between its neighbors to 1e-6.
     """
-    points = tuple(
-        CurvePoint(a, closed_form_alg(a), closed_form_opt(a), closed_form_ratio(a))
-        for a in ALPHA_GRID
-    )
-    best = max(range(len(points)), key=lambda i: points[i].ratio)
-    lo = points[max(0, best - 1)].alpha
-    hi = points[min(len(points) - 1, best + 1)].alpha
+    best = max(range(len(ALPHA_GRID)), key=lambda i: closed_form_ratio(ALPHA_GRID[i]))
+    lo = ALPHA_GRID[max(0, best - 1)]
+    hi = ALPHA_GRID[min(len(ALPHA_GRID) - 1, best + 1)]
     alpha_star = _golden_section_max(closed_form_ratio, lo, hi, xtol=1e-6)
-    return SingleThresholdReport(
-        alpha_grid=points,
-        alpha_star=alpha_star,
-        max_ratio=closed_form_ratio(alpha_star),
-    )
+    return SingleThresholdReport(alpha_star=alpha_star, max_ratio=closed_form_ratio(alpha_star))
 
 
 def _golden_section_max(fn, lo: float, hi: float, xtol: float) -> float:

@@ -96,7 +96,7 @@ def win_factor(boxes: Iterable[DiscreteDistribution], value: float) -> float:
     Callers that know every value before they walk carry the product over a
     grid with :func:`carry_win_factors` instead.
     """
-    return math.prod((box.prob_below(value, strict=True) for box in boxes), start=1.0)
+    return math.prod((box.prob_below(value) for box in boxes), start=1.0)
 
 
 def carry_win_factors(acc: list[float], grid: Sequence[float], box: DiscreteDistribution) -> None:

@@ -145,7 +145,7 @@ def per_pair_threshold_winprob(instance: Instance, order: Order, threshold: floa
         for v, p in box.outcomes:
             if v >= threshold and v > baseline:
                 total += pass_mass * p * win_factor_after(instance, order, pos, v)
-        pass_mass *= box.prob_below(threshold, strict=True)
+        pass_mass *= box.prob_below(threshold)
         if pass_mass == 0.0:
             break
     return min(max(total, 0.0), 1.0)

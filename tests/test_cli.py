@@ -238,6 +238,28 @@ class TestEvaluate:
         assert "policy" in err
 
 
+def json_reader_argv(flag, classic2, path):
+    """A command that reads ``path`` as the JSON file of ``flag`` and ``classic2`` for the rest."""
+    return {
+        "-i": ["evaluate", "-i", path, "-o", "0", "-p", "golden", "--obj", "expectation"],
+        "-o": ["evaluate", "-i", classic2, "-o", path, "-p", "golden", "--obj", "expectation"],
+        "--orders": ["ratio", "-i", classic2, "-p", "golden", "--obj", "expectation", "--orders", path],
+    }[flag]
+
+
+class TestJsonUndecodable:
+    """A file that is not UTF-8 JSON exits 2, and the message names it."""
+
+    @pytest.mark.parametrize("content", [b"", b"\xff\xfe{}", b"{\"boxes\": ["], ids=["empty", "bom", "truncated"])
+    @pytest.mark.parametrize("flag", ["-i", "-o", "--orders"])
+    def test_each_reader_names_the_file(self, capsys, classic2, tmp_path, flag, content):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, json_reader_argv(flag, classic2, str(path)))
+        assert_clean_exit_2(code, out, err)
+        assert str(path) in err
+
+
 class TestJsonNestedTooDeep:
     """A JSON file nested past the decoder's recursion limit exits 2 from every flag that reads one."""
 
@@ -252,12 +274,7 @@ class TestJsonNestedTooDeep:
     @pytest.mark.parametrize("flag", ["-i", "-o", "--orders"])
     def test_each_reader_exits_2(self, capsys, classic2, deep, flag):
         # json.load used to escape as a RecursionError with exit 1
-        argv = {
-            "-i": ["evaluate", "-i", deep, "-o", "0", "-p", "golden", "--obj", "expectation"],
-            "-o": ["evaluate", "-i", classic2, "-o", deep, "-p", "golden", "--obj", "expectation"],
-            "--orders": ["ratio", "-i", classic2, "-p", "golden", "--obj", "expectation", "--orders", deep],
-        }[flag]
-        code, out, err = run(capsys, argv)
+        code, out, err = run(capsys, json_reader_argv(flag, classic2, deep))
         assert_clean_exit_2(code, out, err)
         assert "nested too deep" in err
 

@@ -70,12 +70,12 @@ class TestExpectationAndCdf:
 
     def test_prob_below_point_mass(self):
         d = DiscreteDistribution.point(1.0)
-        assert d.prob_below(1.0, strict=True) == 0.0
-        assert d.prob_below(1.0, strict=False) == 1.0
+        assert d.prob_below(1.0) == 0.0
+        assert d.cdf_at([1.0]) == [1.0]
 
     def test_prob_below_two_point(self):
         d = DiscreteDistribution.from_pairs([(0.0, 0.5), (2.0, 0.5)])
-        assert d.prob_below(1.0, strict=True) == 0.5
+        assert d.prob_below(1.0) == 0.5
 
     @pytest.mark.parametrize("m", [10, 100])
     def test_prob_below_is_the_fsum_prefix_bit_for_bit(self, m):
@@ -84,9 +84,9 @@ class TestExpectationAndCdf:
         # holds the prefix sums math.fsum gives.
         d = DiscreteDistribution(tuple((float(k), 1.0 / m) for k in range(m)))
         for k in range(m):
-            assert d.prob_below(float(k)) == math.fsum([1.0 / m] * (k + 1))
-            assert d.prob_below(float(k), strict=True) == math.fsum([1.0 / m] * k)
-        assert d.prob_below(m - 1.0) == 1.0
+            assert d.cdf_at([float(k)]) == [math.fsum([1.0 / m] * (k + 1))]
+            assert d.prob_below(float(k)) == math.fsum([1.0 / m] * k)
+        assert d.cdf_at([m - 1.0]) == [1.0]
 
     def test_prob_below_is_the_fsum_prefix_with_subnormal_mass(self):
         # Adding 2**-54 to 0.5 one at a time rounds each back to 0.5; the
@@ -95,7 +95,7 @@ class TestExpectationAndCdf:
         probs = (0.5, 2.0**-54, 2.0**-54, 5e-324, 0.5 - 2.0**-53)
         d = DiscreteDistribution(tuple((float(k), p) for k, p in enumerate(probs)))
         for k in range(len(probs)):
-            assert d.prob_below(float(k)).hex() == math.fsum(probs[: k + 1]).hex()
+            assert d.cdf_at([float(k)])[0].hex() == math.fsum(probs[: k + 1]).hex()
 
     def test_prob_below_monotone_and_mass_identity(self):
         rng = random.Random(11)
@@ -105,8 +105,8 @@ class TestExpectationAndCdf:
             probes = sorted(set(d.values) | {0.0, 0.5, 3.7, 100.0})
             prev_strict = prev_loose = -1.0
             for x in probes:
-                strict = d.prob_below(x, strict=True)
-                loose = d.prob_below(x, strict=False)
+                strict = d.prob_below(x)
+                [loose] = d.cdf_at([x])
                 assert strict <= loose + 1e-15
                 assert strict >= prev_strict - 1e-15
                 assert loose >= prev_loose - 1e-15
@@ -215,6 +215,21 @@ class TestSampling:
             profile = draw_profile(inst, gen)
             for bid, v in enumerate(profile):
                 assert v in supports[bid]
+
+    def test_draw_is_the_inverse_of_the_cdf_table(self):
+        # Ten atoms of 0.1 added one by one reach 0.6 at the sixth, but the
+        # table holds P[v <= 5] = fsum = 0.6000000000000001 > 0.6, so u = 0.6
+        # draws 5.0, as the exact routes read the law.
+        d = DiscreteDistribution(tuple((float(k), 0.1) for k in range(10)))
+        assert d.cdf[6] > 0.6
+        assert d.sample(types.SimpleNamespace(random=lambda: 0.6)) == 5.0
+        # A table that ends below 1.0: a u at or past its end draws the
+        # largest value.
+        end = math.nextafter(1.0, 0.0)
+        d = DiscreteDistribution(((1.0, 0.5), (2.0, end - 0.5)))
+        assert d.cdf[-1] == end
+        for u, want in ((0.0, 1.0), (0.5, 2.0), (end, 2.0)):
+            assert d.sample(types.SimpleNamespace(random=lambda u=u: u)) == want
 
     def test_law_of_large_numbers(self):
         inst = Instance.from_supports([[(0.0, 0.5), (1.0, 0.5)]])

@@ -28,6 +28,7 @@ from prophet_order import (
     validate_instance,
     validate_order,
 )
+from prophet_order.families import ALPHA_GRID
 from tests.helpers import per_pair_threshold_winprob
 
 
@@ -239,8 +240,8 @@ class TestRatioCurve:
 
     def test_grid_maximum_is_global(self):
         rep = single_threshold_ratio_curve()
-        for point in rep.alpha_grid:
-            assert point.ratio < rep.max_ratio + 1e-9
+        for alpha in ALPHA_GRID:
+            assert closed_form_ratio(alpha) < rep.max_ratio + 1e-9
 
 
 class TestHvBox:

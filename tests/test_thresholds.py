@@ -45,8 +45,8 @@ class TestSuffixMax:
         law = suffix_max([])
         assert law == DiscreteDistribution.point(0.0)
         assert law.expectation() == 0.0
-        assert law.prob_below(0.5, strict=True) == 1.0
-        assert law.prob_below(123.0, strict=True) == 1.0
+        assert law.prob_below(0.5) == 1.0
+        assert law.prob_below(123.0) == 1.0
 
     def test_point_masses(self):
         law = suffix_max([DiscreteDistribution.point(1.0), DiscreteDistribution.point(2.0)])
@@ -79,7 +79,7 @@ class TestSuffixMax:
             increments = []
             prev = 0.0
             for v in sorted({v for d in inst.distributions for v in d.values}):
-                cdf = min(math.prod(d.prob_below(v) for d in inst.distributions), 1.0)
+                cdf = min(math.prod(d.cdf_at([v])[0] for d in inst.distributions), 1.0)
                 if cdf - prev > 0.0:
                     increments.append((v, cdf - prev))
                 prev = cdf
@@ -93,7 +93,7 @@ class TestSuffixMax:
              (3.0, 0.6188763522845167), (4.0, 0.06403121605573854))
         )
         assert math.fsum(d.probabilities) > 1.0
-        assert d.prob_below(4.0) == 1.0
+        assert d.cdf_at([4.0]) == [1.0]
         law = suffix_max([d, DiscreteDistribution.point(100.0)])
         assert law.outcomes == ((100.0, 1.0),)
         assert math.fsum(law.probabilities) == 1.0
@@ -228,7 +228,7 @@ class TestWinFactor:
         fam = maxprob_lb(n)
         q = 1.0 - fam.parameters["eps"]
         inst = fam.instance
-        assert all(inst.box(b).prob_below(0.5, strict=True) == q for b in range(1, n + 1))
+        assert all(inst.box(b).prob_below(0.5) == q for b in range(1, n + 1))
         got = win_factor_after(inst, fam.order("decreasing"), 1, 0.5)
         assert got.hex() == math.prod([q] * n).hex()
 
@@ -251,7 +251,7 @@ class TestWinFactor:
                 for v in {v for d in inst.distributions for v in d.values}:
                     want = 1.0
                     for b in reversed(seq[t:]):
-                        want *= inst.box(b).prob_below(v, strict=True)
+                        want *= inst.box(b).prob_below(v)
                     assert win_factor_after(inst, Order(seq), t, v).hex() == want.hex()
 
 
