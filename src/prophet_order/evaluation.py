@@ -26,10 +26,11 @@ from .core import Instance, Order, ValidationError, validate_instance, validate_
 from .policies import (
     DecisionContext,
     GoldenPolicy,
-    OptExpectationPolicy,
-    OptMaxProbPolicy,
     Policy,
     SingleThresholdPolicy,
+    _maxprob_grid,
+    _maxprob_row,
+    _step_back,
 )
 from .thresholds import carry_win_factors, win_factor
 
@@ -365,15 +366,16 @@ def order_ratio_sweep(
 ) -> RatioReport:
     """Ratio of ``policy`` to the order-aware optimum over arrival orders.
 
-    Sweeps every permutation unless ``orders`` is given; the benchmark is
-    rebuilt for each order (it is order-aware by definition) while ``policy``
-    is reused unchanged. The optimum is the start value of the benchmark's own
-    backward induction (:class:`OptExpectationPolicy` or
-    :class:`OptMaxProbPolicy`), so only ``policy`` is evaluated. Orders where
-    the optimum is 0 are recorded with ratio 1 and flagged degenerate instead
-    of being dropped. An empty ``orders``, or a ``perm_cap`` below 1 when the
-    sweep covers every permutation, raises :class:`ValidationError`; the cap
-    is not read when ``orders`` is given.
+    Sweeps every permutation unless ``orders`` is given; rows come back in
+    the given order. ``policy`` is reused unchanged and evaluated on every
+    order by :func:`eval_exact` first, which validates each order. The optimum
+    is the start value of the benchmark's own backward induction
+    (:class:`OptExpectationPolicy` or :class:`OptMaxProbPolicy` at the
+    objective's baseline), bit for bit, computed once per suffix the orders
+    share. Orders where the optimum is 0 are recorded with ratio 1 and flagged
+    degenerate instead of being dropped. An empty ``orders``, or a
+    ``perm_cap`` below 1 when the sweep covers every permutation, raises
+    :class:`ValidationError`; the cap is not read when ``orders`` is given.
     """
     if orders is None:
         if perm_cap < 1:
@@ -386,15 +388,50 @@ def order_ratio_sweep(
         orders = [Order(perm) for perm in itertools.permutations(range(instance.n))]
     if not orders:
         raise ValidationError("the order list is empty; give at least one order")
-    rows: list[OrderRatio] = []
-    for order in orders:
-        alg_res = eval_exact(instance, order, policy, objective)
-        if objective.is_winprob:
-            opt = _clamp_prob(OptMaxProbPolicy(instance, order, objective.baseline).win_probability)
-        else:
-            opt = OptExpectationPolicy(instance, order).value
+    algs = [eval_exact(instance, order, policy, objective) for order in orders]
+    rows = []
+    for order, alg_res, opt in zip(orders, algs, _optima(instance, orders, objective)):
         degenerate = opt == 0.0
         ratio = 1.0 if degenerate else alg_res.value / opt
         rows.append(OrderRatio(order, alg_res.value, opt, ratio, degenerate, alg_res.method))
     worst = min(rows, key=lambda row: row.ratio)
     return RatioReport(tuple(rows), worst.ratio, worst.order)
+
+
+def _optima(instance: Instance, orders: Sequence[Order], objective: Objective) -> list[float]:
+    """The optimum of each of ``orders`` (all valid), computed once per distinct suffix.
+
+    A state after position t reads only the suffix from t. Sorted by reversed
+    sequence, orders that share a suffix sit together; a state is kept only
+    while the next order reuses it.
+    """
+    n = instance.n
+    winprob = objective.is_winprob
+    start = 0.0
+    if winprob:
+        grid, index = _maxprob_grid(instance, objective.baseline)
+        start = ([0.0] * len(grid), 0, [1.0] * len(grid))
+    rank = sorted(range(len(orders)), key=lambda k: orders[k].sequence[::-1])
+    opts = [0.0] * len(orders)
+    states = [start]  # states[d]: the state after the last d boxes, while shared
+    for j, k in enumerate(rank):
+        seq = orders[k].sequence
+        after = orders[rank[j + 1]].sequence if j + 1 < len(rank) else ()
+        keep = next((d for d in range(len(after)) if seq[-1 - d] != after[-1 - d]), len(after))
+        state = states[-1]
+        for d in range(len(states), n + 1):
+            box = instance.box(seq[-d])
+            if winprob:
+                # The state at d - 1 is read again if the next order shares it.
+                below = state[2][:] if d - 1 <= keep and d < n else state[2]
+                row, dead, _ = _maxprob_row(grid, index, box, state[0], state[1], below)
+                state = (row, dead, below)
+                if d < n:
+                    carry_win_factors(below, grid, box)
+            else:
+                state = _step_back(box, state)
+            if d <= keep:
+                states.append(state)
+        opts[k] = _clamp_prob(state[0][index[objective.baseline]]) if winprob else state
+        del states[keep + 1:]
+    return opts

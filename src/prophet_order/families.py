@@ -14,12 +14,16 @@ import math
 from dataclasses import dataclass
 
 from .core import DiscreteDistribution, Instance, Order
+from .evaluation import CapExceededError
 from .thresholds import LAMBDA, LN_INV_LAMBDA, PHI
 
 # golden_lb builds about (phi - 1) / step deterministic boxes and as many
 # canonical orders of that length; past this count the orders alone would
 # take gigabytes.
 GOLDEN_LB_MAX_BOXES = 1000
+# single_threshold_family builds n boxes of about 0.6 KB; at this count the
+# family and its exact win probability take about a second and 80 MB.
+SINGLE_THRESHOLD_MAX_BOXES = 100_000
 
 
 @dataclass(frozen=True)
@@ -157,11 +161,16 @@ def single_threshold_family(n: int, T: int) -> FamilyInstance:
     The canonical order has three periods: values T..T+k-1 ascending (with
     k = floor((n-T)/2)), then n down to T+k, then T-1 down to 1. A fixed
     threshold-T rule accepts the first value it sees in the first two periods
-    and can never accept in the third.
+    and can never accept in the third. An n above the cap raises
+    :class:`CapExceededError` before any box is built.
     """
     # At n = 1 the box's zero atom would get probability 1 - 1/sqrt(1) = 0.
     if n < 2 or not 1 <= T <= n:
         raise ValueError(f"need n >= 2 and 1 <= T <= n, got n={n}, T={T}")
+    if n > SINGLE_THRESHOLD_MAX_BOXES:
+        raise CapExceededError(
+            f"n={n} exceeds the single-threshold family's cap of {SINGLE_THRESHOLD_MAX_BOXES} boxes"
+        )
     p = 1.0 / math.sqrt(n)
     # The probabilities from_pairs makes of (0, 1 - p), (i, p) do not depend
     # on i, so canonicalize them once and build every box from them.

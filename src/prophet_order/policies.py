@@ -21,7 +21,7 @@ rejected.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .core import DiscreteDistribution, Instance, Order, ValidationError, validate_instance, validate_order
 from .thresholds import (
@@ -220,8 +220,9 @@ class OptMaxProbPolicy(Policy):
 
     ``baseline`` is the grid's floor and ``win_probability``'s start state.
     Rules are built at 0, which decides every prefix max >= any b as one built
-    at b (its row at b is its row at the grid point below b, bit for bit); only
-    ``order_ratio_sweep`` passes a baseline, to read the optimum.
+    at b (its row at b is its row at the grid point below b, bit for bit).
+    ``order_ratio_sweep`` runs the build's row step, :func:`_maxprob_row`, at
+    the objective's baseline once per suffix its orders share.
 
     Requires a unique-max-valid instance (no positive value shared between two
     boxes).
@@ -242,48 +243,16 @@ class OptMaxProbPolicy(Policy):
 
         n = instance.n
         seq = order.sequence
-        grid = sorted({baseline} | {v for d in instance.distributions for v in d.values})
-        index = {v: i for i, v in enumerate(grid)}
+        grid, index = _maxprob_grid(instance, baseline)
         size = len(grid)
         self.take_from = take_from = [math.inf] * (n + 1)  # index 0 unused
         self.dead_from = dead_from = [math.inf] * n + [grid[0]]
-        # nxt[i] is the win probability of optimal play at positions t+1..n
-        # from prefix max grid[i]; after position n it is identically 0.
-        # dead is its first zero (size if none), below[i] is
-        # P[every box after position t < grid[i]].
-        nxt = [0.0] * size
-        dead = 0
-        below = [1.0] * size
+        nxt, dead, below = [0.0] * size, 0, [1.0] * size  # after position n: nothing left to win
         for t in range(n, 0, -1):
             box = instance.box(seq[t - 1])
-            # A new maximum v contributes p * max(win, nxt[v]) whatever the
-            # prefix max theta; a value at or below theta wins nothing and
-            # contributes p * nxt[theta].
-            outcomes = []
-            for v, p in box.outcomes:
-                i = index[v]
-                win, cont = below[i], nxt[i]
-                if win >= cont:
-                    take_from[t] = min(take_from[t], v)
-                outcomes.append((v, p, p * (win if win >= cont else cont)))
-            # Bit for bit a row does not increase in theta (see the class
-            # docstring; decide relies on it too), so nxt is 0.0 from dead on.
-            # Where theta is also at or above the box's largest value, every
-            # outcome contributes p * 0.0 and the entry stays 0.0 unsummed.
-            top = max(index[box.values[-1]], dead)
-            row = [0.0] * size
-            dead = top
-            for i in range(top - 1, -1, -1):
-                theta, cont = grid[i], nxt[i]
-                total = 0.0
-                for v, p, fresh in outcomes:
-                    total += p * cont if v <= theta else fresh
-                row[i] = total
-                if total == 0.0:
-                    dead = i
+            nxt, dead, take_from[t] = _maxprob_row(grid, index, box, nxt, dead, below)
             if dead < size:
                 dead_from[t - 1] = grid[dead]
-            nxt = row
             if t > 1:
                 carry_win_factors(below, grid, box)
         self.win_probability = nxt[index[baseline]]
@@ -297,6 +266,49 @@ class OptMaxProbPolicy(Policy):
         # wins nothing either. dead_from is a grid point, so an off-grid
         # prefix max compares as its snap down to the grid would.
         return theta >= self.dead_from[ctx.position]
+
+
+def _maxprob_grid(instance: Instance, baseline: float) -> tuple[list[float], dict[float, int]]:
+    """The optimum's grid (the baseline and every support value, sorted) and each point's index."""
+    grid = sorted({baseline} | {v for d in instance.distributions for v in d.values})
+    return grid, {v: i for i, v in enumerate(grid)}
+
+
+def _maxprob_row(grid: Sequence[float], index: dict[float, int], box: DiscreteDistribution,
+                 nxt: Sequence[float], dead: int, below: Sequence[float]) -> tuple[list[float], int, float]:
+    """One position of :class:`OptMaxProbPolicy`'s backward induction: its row, first zero and ``take_from``.
+
+    ``nxt[i]`` is the win probability of optimal play after the position from
+    prefix max ``grid[i]``, ``dead`` its first zero (``len(grid)`` if none),
+    and ``below[i]`` P[every later box < grid[i]].
+    """
+    # A new maximum v contributes p * max(win, nxt[v]) whatever the prefix
+    # max theta; a value at or below theta wins nothing and contributes
+    # p * nxt[theta].
+    take = math.inf
+    outcomes = []
+    for v, p in box.outcomes:
+        i = index[v]
+        win, cont = below[i], nxt[i]
+        if win >= cont:
+            take = min(take, v)
+        outcomes.append((v, p, p * (win if win >= cont else cont)))
+    # Bit for bit a row does not increase in theta (see the class docstring;
+    # decide relies on it too), so nxt is 0.0 from dead on. Where theta is
+    # also at or above the box's largest value, every outcome contributes
+    # p * 0.0 and the entry stays 0.0 unsummed.
+    top = max(index[box.values[-1]], dead)
+    row = [0.0] * len(grid)
+    dead = top
+    for i in range(top - 1, -1, -1):
+        theta, cont = grid[i], nxt[i]
+        total = 0.0
+        for v, p, fresh in outcomes:
+            total += p * cont if v <= theta else fresh
+        row[i] = total
+        if total == 0.0:
+            dead = i
+    return row, dead, take
 
 
 class SingleThresholdPolicy(Policy):

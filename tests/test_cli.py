@@ -344,6 +344,13 @@ class TestRatio:
         assert code == 2
         assert "permutation" in err
 
+    @pytest.mark.parametrize("orders", ["0,1;1,0;0", "1,0;1,1;0,1"])
+    def test_non_permutation_among_valid_orders_exits_2(self, capsys, classic2, orders):
+        # a short order or a repeated id, between orders the sweep accepts
+        code, out, err = run(capsys, ["ratio", "-i", classic2, "-p", "maxprob", "--obj", "winprob", "--orders", orders])
+        assert_clean_exit_2(code, out, err)
+        assert "is not a permutation of 0..1" in err
+
     def test_baseline_comes_from_objective(self, capsys, floor_pair):
         inst, path = floor_pair
         code, out, _ = run(capsys, ["ratio", "-i", path, "-p", "maxprob", "--obj", "winprob:0.5"])
@@ -490,6 +497,13 @@ class TestReproduce:
         code, out, err = run(capsys, ["reproduce", "single-threshold", "--n", "-5"])
         assert_clean_exit_2(code, out, err)
         assert "n=-5" in err
+
+    def test_single_threshold_above_the_cap_exits_3(self, capsys):
+        # --n 100000 took about 1 s and 82 MB; ten times that would not finish soon
+        code, out, err = run(capsys, ["reproduce", "single-threshold", "--n", "100001"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: n=100001 exceeds the single-threshold family's cap of 100000 boxes\n"
 
     def test_single_threshold_one_box_exits_2(self, capsys):
         # used to name only the zero atom's probability 0.0, no family parameter

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,7 +27,7 @@ from prophet_order import (
     make_policy,
     maxprob_lb,
 )
-from prophet_order import evaluation
+from prophet_order import evaluation, policies
 from prophet_order.thresholds import carry_win_factors, win_factor
 from tests.helpers import FunctionPolicy, continuation_audit, oracle_corpus, random_instance, random_order
 
@@ -428,6 +429,119 @@ class TestOrderRatioSweep:
             assert len(rep.per_order) == 6
             assert evaluated == [policy] * 6
             assert all(row.opt > 0 for row in rep.per_order)
+
+
+def instance_of(n: int, seed: int) -> Instance:
+    """A unique-max instance of exactly n boxes with up to 3 points each."""
+    rng = random.Random(seed)
+    while True:
+        inst = random_instance(rng, n, 3)
+        if inst.n == n:
+            return inst
+
+
+def per_order_optimum(instance: Instance, order: Order, objective: Objective) -> float:
+    """The optimum as a build of the benchmark for ``order`` alone gives it."""
+    if objective.is_winprob:
+        return evaluation._clamp_prob(OptMaxProbPolicy(instance, order, objective.baseline).win_probability)
+    return OptExpectationPolicy(instance, order).value
+
+
+def objectives_of(instance: Instance) -> list[Objective]:
+    """Expectation, and win probability at 0, at a support value and between two."""
+    values = sorted({v for d in instance.distributions for v in d.values if v > 0.0})
+    mid = values[len(values) // 2]
+    return [Objective.expectation(), Objective.winprob(0.0), Objective.winprob(mid), Objective.winprob(mid + 1 / 1024)]
+
+
+class TestSweepSharesSuffixes:
+    """The optimum of every order comes from one walk over shared suffixes."""
+
+    ACCEPT_ALL = FunctionPolicy(lambda ctx: True, uses_prefix_max=False)
+
+    def assert_rows_are_the_builds(self, inst, orders, objective):
+        rep = order_ratio_sweep(inst, self.ACCEPT_ALL, objective, orders=orders)
+        expected = orders or [Order(p) for p in itertools.permutations(range(inst.n))]
+        assert [row.order for row in rep.per_order] == list(expected)
+        for row in rep.per_order:
+            assert row.opt.hex() == per_order_optimum(inst, row.order, objective).hex(), (objective, row.order)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_full_sweep_opt_is_the_build_per_order_bit_for_bit(self, n):
+        inst = instance_of(n, 700 + n)
+        for objective in objectives_of(inst):
+            self.assert_rows_are_the_builds(inst, None, objective)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_explicit_lists_come_back_in_the_given_order(self, seed):
+        rng = random.Random(seed)
+        inst = instance_of(5, 800 + seed)
+        perms = [Order(p) for p in itertools.permutations(range(5))]
+        shuffled = rng.sample(perms, 40)
+        repeated = [rng.choice(perms[:6]) for _ in range(12)] + shuffled[:5] + [perms[0]] * 3
+        # each order ends in a box no other order ends in
+        disjoint = [random_order(rng, 5) for _ in range(40)]
+        disjoint = list({order.sequence[-1]: order for order in disjoint}.values())
+        assert len({order.sequence[-1] for order in disjoint}) == len(disjoint) > 1
+        for orders in (shuffled, repeated, disjoint):
+            for objective in objectives_of(inst):
+                self.assert_rows_are_the_builds(inst, orders, objective)
+
+    def test_a_full_sweep_at_five_runs_one_row_step_per_distinct_suffix(self, monkeypatch):
+        # 5 + 20 + 60 + 120 + 120 = 325 suffixes; a build per order runs 5 * 120 = 600 steps
+        calls = []
+
+        def counting(step):
+            def wrapper(*args):
+                calls.append(step)
+                return step(*args)
+            return wrapper
+
+        for module in (evaluation, policies):
+            monkeypatch.setattr(module, "_maxprob_row", counting(policies._maxprob_row))
+        monkeypatch.setattr(evaluation, "_step_back", counting(policies._step_back))
+        inst = instance_of(5, 705)
+        for objective in (Objective.winprob(0.0), Objective.expectation()):
+            calls.clear()
+            order_ratio_sweep(inst, self.ACCEPT_ALL, objective)
+            assert len(calls) == 325, objective
+        calls.clear()
+        for perm in itertools.permutations(range(5)):
+            OptMaxProbPolicy(inst, Order(perm))
+        assert len(calls) == 600
+
+    def test_orders_sharing_no_suffix_hold_one_row_at_a_time(self):
+        # maxprob_lb(400)'s two orders share no suffix: the walk keeps no
+        # state past its order, so it peaks about as one build does, not at
+        # 400 rows. The rule is warmed first, so its own cache does not count.
+        fam = maxprob_lb(400)
+        inst = fam.instance
+        orders = [order for _, order in fam.canonical_orders]
+        policy = MaxProbPolicy(inst)
+        order_ratio_sweep(inst, policy, Objective.winprob(), orders=orders)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        build = peak(lambda: OptMaxProbPolicy(inst, orders[0]))
+        sweep = peak(lambda: order_ratio_sweep(inst, policy, Objective.winprob(), orders=orders))
+        assert sweep <= 1.5 * build, (sweep, build)
+
+    @pytest.mark.parametrize("bad", [(0, 1), (0, 1, 1)])
+    @pytest.mark.parametrize("objective", [Objective.expectation(), Objective.winprob()])
+    def test_a_non_permutation_among_valid_orders_is_refused_before_the_walk(self, monkeypatch, bad, objective):
+        walked = []
+        monkeypatch.setattr(evaluation, "_optima", lambda *args: walked.append(args))
+        inst = instance_of(3, 703)
+        orders = [Order((2, 1, 0)), Order((0, 1, 2)), Order(bad), Order((1, 0, 2))]
+        with pytest.raises(ValidationError, match=r"is not a permutation of 0\.\.2"):
+            order_ratio_sweep(inst, MaxProbPolicy(inst), objective, orders=orders)
+        assert walked == []
 
 
 class TestPolicyBuiltForAnotherInput:

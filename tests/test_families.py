@@ -28,7 +28,8 @@ from prophet_order import (
     validate_instance,
     validate_order,
 )
-from prophet_order.families import ALPHA_GRID
+from prophet_order import CapExceededError, families
+from prophet_order.families import ALPHA_GRID, SINGLE_THRESHOLD_MAX_BOXES
 from tests.helpers import per_pair_threshold_winprob
 
 
@@ -211,6 +212,23 @@ class TestSingleThresholdFamily:
             DiscreteDistribution.from_pairs([(0.0, 0.0), (1.0, 1.0)])
         with pytest.raises(ValueError, match=r"need n >= 2 .*got n=1, T=1"):
             single_threshold_family(1, 1)
+
+    def test_n_above_the_cap_is_refused_before_any_box_is_built(self, monkeypatch):
+        built = []
+
+        class Recorder:
+            def __init__(self, *args):
+                built.append(args)
+
+            @classmethod
+            def from_pairs(cls, pairs):
+                return cls(pairs)
+
+        monkeypatch.setattr(families, "DiscreteDistribution", Recorder)
+        n = SINGLE_THRESHOLD_MAX_BOXES + 1
+        with pytest.raises(CapExceededError, match=f"n={n} exceeds .* cap of {SINGLE_THRESHOLD_MAX_BOXES} boxes"):
+            single_threshold_family(n, n // 2)
+        assert built == []
 
     @pytest.mark.parametrize("T", [9888, 9990])
     def test_exact_winprob_is_the_per_pair_loop_bit_for_bit(self, T):

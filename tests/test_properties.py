@@ -25,6 +25,7 @@ from prophet_order import (
     brute_force,
     eval_exact,
     make_policy,
+    monte_carlo,
     order_ratio_sweep,
     solve_beta,
     suffix_max,
@@ -40,6 +41,7 @@ from tests.helpers import (
     assert_decides_as_the_table,
     enumerate_max_law,
     per_pair_threshold_winprob,
+    simulate_profile,
     win_factor_after,
 )
 
@@ -373,3 +375,33 @@ def test_golden_tau_does_not_depend_on_the_walk(case):
         for remaining in reached:
             ref = threshold_triple(suffix_max(instance.box(b) for b in sorted(remaining))).tau
             assert abs(policy.tau(remaining) - ref) <= 1e-12 * abs(ref), sorted(remaining)
+
+
+MC_SAMPLES = 2000
+MC_LOG_TERM = math.log(2 / 1e-6)  # ln(2 / delta): each bound below fails w.p. <= 1e-6
+
+
+@SETTINGS
+@given(edge_cases())
+def test_monte_carlo_lands_near_exact_on_edge_laws(case):
+    # Golden under expectation and maxprob under win probability, at fixed
+    # seeds. An atom rarer than 1 / MC_SAMPLES is seldom drawn, and then the
+    # reported stderr misses it (it reads 0 when no sample varies), so the
+    # bound takes the payoff's exact variance from the enumerated profiles.
+    # Bernstein's inequality for N payoffs in [0, top] then bounds the miss
+    # by sqrt(2 var L / N) + 2 top L / (3 N): about 5.4 exact stderrs plus
+    # one payoff range per 1 / N for a draw of a rare atom.
+    instance, order = case
+    pairs = ((GoldenPolicy(instance), Objective.expectation()), (MaxProbPolicy(instance), Objective.winprob()))
+    for seed, (policy, objective) in enumerate(pairs, start=1):
+        exact = eval_exact(instance, order, policy, objective).value
+        profiles = []
+        for combo in itertools.product(*(d.outcomes for d in instance.distributions)):
+            payoff = simulate_profile(order, policy, objective, tuple(v for v, _ in combo))
+            profiles.append((math.prod(p for _, p in combo), payoff))
+        mean = math.fsum(p * x for p, x in profiles)
+        var = math.fsum(p * (x - mean) ** 2 for p, x in profiles)
+        top = 1.0 if objective.is_winprob else max(d.values[-1] for d in instance.distributions)
+        bound = math.sqrt(2 * var * MC_LOG_TERM / MC_SAMPLES) + 2 * top * MC_LOG_TERM / (3 * MC_SAMPLES)
+        estimate = monte_carlo(instance, order, policy, objective, MC_SAMPLES, seed)
+        assert abs(estimate.value - exact) <= bound, (policy.kind, estimate, exact, bound)
