@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -249,8 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses every call with one tree: a parse leaves the tree as it found
+# it, and building it takes about as long as a small command.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args, leftover = build_parser().parse_known_args(argv)
+    args, leftover = _parser().parse_known_args(argv)
     if leftover:
         args.parser.error(f"unrecognized arguments: {' '.join(leftover)}")
     try:

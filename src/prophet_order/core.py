@@ -123,6 +123,21 @@ class DiscreteDistribution:
         object.__setattr__(law, "cdf", tuple(table))
         return law
 
+    def _on_values(self, values: Sequence[float]) -> "DiscreteDistribution":
+        """This law's probabilities and CDF table on other ``values``, taken as given.
+
+        Private to ``families.single_threshold_family``, whose ``values`` are
+        floats, finite, non-negative and strictly increasing, one per atom. The
+        table depends only on the probabilities, so the constructor would
+        check and sum again what it checked and summed for this law.
+        """
+        _, probs = zip(*self.outcomes)
+        law = object.__new__(type(self))
+        object.__setattr__(law, "outcomes", tuple(zip(values, probs)))
+        object.__setattr__(law, "values", tuple(values))
+        object.__setattr__(law, "cdf", self.cdf)
+        return law
+
     @classmethod
     def point(cls, value: float) -> "DiscreteDistribution":
         """Deterministic box holding ``value``."""

@@ -104,6 +104,8 @@ class EvalResult:
 def _check_inputs(instance: Instance, order: Order, policy: Policy, objective: Objective) -> None:
     """Validate what every route reads, then prepare ``policy`` for ``order``.
 
+    A rule built for another instance or order, or with a floor (``baseline``)
+    above the objective's baseline, is refused with :class:`ValidationError`.
     A :class:`GoldenPolicy` computes its thresholds from the back of the order
     (:meth:`GoldenPolicy.warm`), so each route reads the same tau for a set
     whichever route runs first on a fresh rule.
@@ -116,6 +118,13 @@ def _check_inputs(instance: Instance, order: Order, policy: Policy, objective: O
         built = getattr(policy, name, given)
         if built is not given and built != given:
             raise ValidationError(f"the {policy.kind} policy was built for another {name}")
+    # A floor above the objective's baseline refuses values the objective
+    # still rewards; one below it is never read, as every prefix max is >= it.
+    if getattr(policy, "baseline", objective.baseline) > objective.baseline:
+        raise ValidationError(
+            f"the {policy.kind} policy was built for another baseline "
+            f"({policy.baseline!r} > {objective.baseline!r})"
+        )
     if isinstance(policy, GoldenPolicy):
         policy.warm(order)
 
@@ -404,13 +413,20 @@ def _optima(instance: Instance, orders: Sequence[Order], objective: Objective) -
     A state after position t reads only the suffix from t. Sorted by reversed
     sequence, orders that share a suffix sit together; a state is kept only
     while the next order reuses it.
+
+    Under win probability the state after the last d boxes also holds their
+    reach: the grid indices of the prefix maxima that can occur before them,
+    i.e. the baseline and every value above it of the other boxes. Each row
+    is summed only there (see :func:`_maxprob_row`), which leaves the start
+    entry, at the baseline, bit for bit as a full build has it.
     """
     n = instance.n
     winprob = objective.is_winprob
     start = 0.0
     if winprob:
         grid, index = _maxprob_grid(instance, objective.baseline)
-        start = ([0.0] * len(grid), 0, [1.0] * len(grid))
+        floor = index[objective.baseline]
+        start = ([0.0] * len(grid), 0, [1.0] * len(grid), list(range(floor, len(grid))))
     rank = sorted(range(len(orders)), key=lambda k: orders[k].sequence[::-1])
     opts = [0.0] * len(orders)
     states = [start]  # states[d]: the state after the last d boxes, while shared
@@ -424,14 +440,20 @@ def _optima(instance: Instance, orders: Sequence[Order], objective: Objective) -
             if winprob:
                 # The state at d - 1 is read again if the next order shares it.
                 below = state[2][:] if d - 1 <= keep and d < n else state[2]
-                row, dead, _ = _maxprob_row(grid, index, box, state[0], state[1], below)
-                state = (row, dead, below)
+                # eval_exact has run validate_instance, so a value above the
+                # baseline is this box's alone and in the reach once.
+                reach = state[3][:]
+                for v in box.values:
+                    if v > objective.baseline:
+                        del reach[bisect_left(reach, index[v])]
+                row, dead, _ = _maxprob_row(grid, index, box, state[0], state[1], below, reach)
+                state = (row, dead, below, reach)
                 if d < n:
                     carry_win_factors(below, grid, box)
             else:
                 state = _step_back(box, state)
             if d <= keep:
                 states.append(state)
-        opts[k] = _clamp_prob(state[0][index[objective.baseline]]) if winprob else state
+        opts[k] = _clamp_prob(state[0][floor]) if winprob else state
         del states[keep + 1:]
     return opts

@@ -172,10 +172,10 @@ def single_threshold_family(n: int, T: int) -> FamilyInstance:
             f"n={n} exceeds the single-threshold family's cap of {SINGLE_THRESHOLD_MAX_BOXES} boxes"
         )
     p = 1.0 / math.sqrt(n)
-    # The probabilities from_pairs makes of (0, 1 - p), (i, p) do not depend
-    # on i, so canonicalize them once and build every box from them.
-    q0, q1 = DiscreteDistribution.from_pairs([(0.0, 1.0 - p), (1.0, p)]).probabilities
-    boxes = tuple(DiscreteDistribution(((0.0, q0), (float(i), q1))) for i in range(1, n + 1))
+    # The law from_pairs makes of (0, 1 - p), (i, p), CDF table included,
+    # does not depend on i, so check and sum it once and move it to each i.
+    first = DiscreteDistribution.from_pairs([(0.0, 1.0 - p), (1.0, p)])
+    boxes = (first,) + tuple(first._on_values((0.0, float(i))) for i in range(2, n + 1))
     instance = Instance(boxes)
     k = (n - T) // 2
     period1 = list(range(T, T + k))

@@ -21,7 +21,8 @@ rejected.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from bisect import bisect_left
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import DiscreteDistribution, Instance, Order, ValidationError, validate_instance, validate_order
 from .thresholds import (
@@ -132,7 +133,8 @@ class MaxProbPolicy(Policy):
     rule is order-unaware.
 
     ``baseline`` is a floor under the prefix maximum that the package never
-    sets; the evaluators start the prefix maximum at the objective's baseline.
+    sets; the evaluators start the prefix maximum at the objective's baseline
+    and refuse a rule whose floor lies above it.
     """
 
     kind = "maxprob"
@@ -221,8 +223,12 @@ class OptMaxProbPolicy(Policy):
     ``baseline`` is the grid's floor and ``win_probability``'s start state.
     Rules are built at 0, which decides every prefix max >= any b as one built
     at b (its row at b is its row at the grid point below b, bit for bit).
+    The evaluators refuse a rule built above the objective's baseline.
     ``order_ratio_sweep`` runs the build's row step, :func:`_maxprob_row`, at
-    the objective's baseline once per suffix its orders share.
+    the objective's baseline once per suffix its orders share, and sums each
+    row only at the prefix maxima its position can reach. A build sums every
+    grid point: ``decide`` snaps any prefix max to the grid, an off-grid
+    baseline's included, and the snap can land on any point.
 
     Requires a unique-max-valid instance (no positive value shared between two
     boxes).
@@ -275,12 +281,22 @@ def _maxprob_grid(instance: Instance, baseline: float) -> tuple[list[float], dic
 
 
 def _maxprob_row(grid: Sequence[float], index: dict[float, int], box: DiscreteDistribution,
-                 nxt: Sequence[float], dead: int, below: Sequence[float]) -> tuple[list[float], int, float]:
+                 nxt: Sequence[float], dead: int, below: Sequence[float],
+                 reach: Optional[Sequence[int]] = None) -> tuple[list[float], int, float]:
     """One position of :class:`OptMaxProbPolicy`'s backward induction: its row, first zero and ``take_from``.
 
     ``nxt[i]`` is the win probability of optimal play after the position from
     prefix max ``grid[i]``, ``dead`` its first zero (``len(grid)`` if none),
     and ``below[i]`` P[every later box < grid[i]].
+
+    ``reach``, if given, lists in ascending order the grid indices of the
+    prefix maxima that can occur before the box; ``None`` means the whole
+    grid. Only those entries are summed, the others stay 0.0, and the first
+    zero returned is the least summed one. Each summed entry is the full
+    row's, bit for bit, when ``nxt`` holds the full row's values at every
+    prefix max that can occur after the box (an entry at theta reads ``nxt``
+    at theta and at the box's values above theta) and the full ``nxt`` is
+    0.0 from ``dead`` on. The ``take_from`` returned is then not the rule's.
     """
     # A new maximum v contributes p * max(win, nxt[v]) whatever the prefix
     # max theta; a value at or below theta wins nothing and contributes
@@ -300,7 +316,11 @@ def _maxprob_row(grid: Sequence[float], index: dict[float, int], box: DiscreteDi
     top = max(index[box.values[-1]], dead)
     row = [0.0] * len(grid)
     dead = top
-    for i in range(top - 1, -1, -1):
+    # Under reach, top may lie above the full row's (dead is the least
+    # summed zero); an entry between the two sums p * 0.0 = 0.0, as the full
+    # row holds it.
+    rows = range(top - 1, -1, -1) if reach is None else reversed(reach[:bisect_left(reach, top)])
+    for i in rows:
         theta, cont = grid[i], nxt[i]
         total = 0.0
         for v, p, fresh in outcomes:

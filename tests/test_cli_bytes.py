@@ -30,6 +30,7 @@ import os
 
 import pytest
 
+from prophet_order import cli
 from prophet_order.cli import main
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -90,6 +91,37 @@ def test_every_command_is_pinned():
 @pytest.mark.parametrize("command", COMMANDS)
 def test_stdout_matches_the_pinned_bytes(command):
     assert _stdout(command) == _expected()[command]
+
+
+def _exit_code(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("bad", [
+    # refused by argparse at the family's parser, after it parsed --n
+    "reproduce maxprob-lb --n 3 --eps 0.5",
+    "reproduce mystery-family",
+    # parsed, then refused by the order check: flags set away from their defaults
+    "evaluate -i INSTANCE -o 0,1 -p maxprob --obj winprob:3 --mc 3 --seed 9 --format csv",
+])
+def test_a_command_after_an_exit_2_in_the_same_process_prints_the_pinned_bytes(capsys, bad):
+    # main parses every call with one tree; no flag of a refused call may
+    # reach the next one.
+    expected = _expected()
+    for command in ("evaluate -i INSTANCE -o 0,1,2 -p maxprob --obj winprob --mc 500 --seed 7",
+                    "evaluate -i INSTANCE -o 0,1,2 -p golden --obj expectation",
+                    "reproduce maxprob-lb --n 25"):
+        assert _exit_code(_argv(bad)) == 2
+        capsys.readouterr()
+        assert _stdout(command) == expected[command], (bad, command)
+
+
+def test_main_reuses_one_parser_and_build_parser_builds_a_fresh_one():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 if __name__ == "__main__":

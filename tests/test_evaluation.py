@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from bisect import bisect_left
 
 import pytest
 
@@ -448,10 +449,12 @@ def per_order_optimum(instance: Instance, order: Order, objective: Objective) ->
 
 
 def objectives_of(instance: Instance) -> list[Objective]:
-    """Expectation, and win probability at 0, at a support value and between two."""
+    """Expectation, and win probability at 0, at a support value, between two and above every one."""
     values = sorted({v for d in instance.distributions for v in d.values if v > 0.0})
     mid = values[len(values) // 2]
-    return [Objective.expectation(), Objective.winprob(0.0), Objective.winprob(mid), Objective.winprob(mid + 1 / 1024)]
+    return [Objective.expectation()] + [
+        Objective.winprob(b) for b in (0.0, mid, mid + 1 / 1024, values[-1] + 1.0)
+    ]
 
 
 class TestSweepSharesSuffixes:
@@ -486,6 +489,36 @@ class TestSweepSharesSuffixes:
         for orders in (shuffled, repeated, disjoint):
             for objective in objectives_of(inst):
                 self.assert_rows_are_the_builds(inst, orders, objective)
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 200])
+    def test_maxprob_lb_canonical_orders_opt_is_the_build_bit_for_bit(self, n):
+        fam = maxprob_lb(n)
+        orders = [order for _, order in fam.canonical_orders]
+        for objective in objectives_of(fam.instance):
+            self.assert_rows_are_the_builds(fam.instance, orders, objective)
+
+    def test_the_sweep_sums_only_the_prefix_maxima_an_order_can_reach(self, monkeypatch):
+        # Before the box at position t the prefix max is the baseline or a
+        # value of an earlier box: on maxprob_lb(200) at most t + 1 points of
+        # the grid of 202, where a build per order sums every entry below top.
+        summed = []
+        step = policies._maxprob_row
+
+        def counting(grid, index, box, nxt, dead, below, reach=None):
+            top = max(index[box.values[-1]], dead)
+            summed.append(top if reach is None else bisect_left(reach, top))
+            return step(grid, index, box, nxt, dead, below, reach)
+
+        for module in (evaluation, policies):
+            monkeypatch.setattr(module, "_maxprob_row", counting)
+        fam = maxprob_lb(200)
+        orders = [order for _, order in fam.canonical_orders]
+        order_ratio_sweep(fam.instance, self.ACCEPT_ALL, Objective.winprob(), orders=orders)
+        assert len(summed) == 2 * 201 and sum(summed) <= 21_000, sum(summed)
+        summed.clear()
+        for order in orders:
+            OptMaxProbPolicy(fam.instance, order)
+        assert sum(summed) == 60_902
 
     def test_a_full_sweep_at_five_runs_one_row_step_per_distinct_suffix(self, monkeypatch):
         # 5 + 20 + 60 + 120 + 120 = 325 suffixes; a build per order runs 5 * 120 = 600 steps
@@ -545,7 +578,7 @@ class TestSweepSharesSuffixes:
 
 
 class TestPolicyBuiltForAnotherInput:
-    """A rule built for one instance or order misreads another; every route refuses it."""
+    """A rule built for one instance, order or higher baseline misreads another; every route refuses it."""
 
     INST = Instance.from_supports([[(1.0, 0.5), (2.0, 0.5)], [(0.0, 0.5), (3.0, 0.5)]])
     OTHER = Instance.from_supports([[(1.5, 1.0)], [(0.0, 0.5), (4.0, 0.5)]])
@@ -570,6 +603,39 @@ class TestPolicyBuiltForAnotherInput:
         pol = MaxProbPolicy(self.OTHER, 0.0)
         with pytest.raises(ValidationError, match="another instance"):
             order_ratio_sweep(self.INST, pol, Objective.winprob(0.0))
+
+    # The rule built at 5 refuses 6 and 7, which win at a baseline of 0: on
+    # order (0, 1, 2) the sweep returned alg 0.75 for it without a word, where
+    # the rule built at 0 gives 0.875.
+    FLOORED = Instance.from_supports([[(0, .5), (3, .5)], [(0, .5), (7, .5)], [(1, .5), (6, .5)]])
+
+    @pytest.mark.parametrize("route", [
+        lambda inst, order, pol, obj: eval_exact(inst, order, pol, obj),
+        lambda inst, order, pol, obj: brute_force(inst, order, pol, obj),
+        lambda inst, order, pol, obj: monte_carlo(inst, order, pol, obj, 10, 0),
+        lambda inst, order, pol, obj: order_ratio_sweep(inst, pol, obj, orders=[order]),
+    ], ids=["eval_exact", "brute_force", "monte_carlo", "order_ratio_sweep"])
+    @pytest.mark.parametrize("build", [
+        lambda inst, order, b: MaxProbPolicy(inst, b),
+        lambda inst, order, b: OptMaxProbPolicy(inst, order, b),
+    ], ids=["maxprob", "opt-maxprob"])
+    def test_every_route_rejects_a_rule_built_for_a_higher_baseline(self, route, build):
+        order = Order((0, 1, 2))
+        for objective in (Objective.winprob(0.0), Objective.winprob(4.0), Objective.expectation()):
+            with pytest.raises(ValidationError, match="built for another baseline"):
+                route(self.FLOORED, order, build(self.FLOORED, order, 5.0), objective)
+
+    def test_a_rule_built_for_a_lower_baseline_is_accepted_and_exact(self):
+        inst, order = self.FLOORED, Order((0, 1, 2))
+        for built, at in ((0.0, 5.0), (0.0, 3.0), (3.0, 5.0), (5.0, 5.0)):
+            objective = Objective.winprob(at)
+            for low, floored in ((MaxProbPolicy(inst, built), MaxProbPolicy(inst, at)),
+                                 (OptMaxProbPolicy(inst, order, built), OptMaxProbPolicy(inst, order, at))):
+                got = eval_exact(inst, order, low, objective).value
+                assert got.hex() == eval_exact(inst, order, floored, objective).value.hex()
+                assert got == pytest.approx(brute_force(inst, order, low, objective).value, abs=1e-12)
+        rep = order_ratio_sweep(inst, MaxProbPolicy(inst), Objective.winprob(0.0), orders=[order])
+        assert rep.per_order[0].alg == 0.875
 
     def test_equal_copies_are_accepted(self):
         copy = Instance.from_supports([d.outcomes for d in self.INST.distributions])

@@ -205,6 +205,21 @@ class TestSingleThresholdFamily:
             ref = DiscreteDistribution.from_pairs([(0.0, 1.0 - p), (float(i), p)])
             assert box.outcomes == ref.outcomes and box.cdf == ref.cdf, i
 
+    @pytest.mark.parametrize("n", [2, 3, 400])
+    def test_boxes_carry_the_bare_constructors_table_bit_for_bit(self, n):
+        # Every box is the first one's checked table moved to its value; the
+        # bare constructor, which checks and sums again, agrees in every bit.
+        def bits(box):
+            return ([(v.hex(), p.hex()) for v, p in box.outcomes],
+                    [v.hex() for v in box.values], [c.hex() for c in box.cdf])
+
+        p = 1.0 / math.sqrt(n)
+        boxes = single_threshold_family(n, n).instance.distributions
+        assert len(boxes) == n
+        for i, box in enumerate(boxes, start=1):
+            ref = DiscreteDistribution.from_pairs([(0.0, 1.0 - p), (float(i), p)])
+            assert bits(box) == bits(DiscreteDistribution(ref.outcomes)) == bits(ref), i
+
     def test_one_box_is_refused_as_from_pairs_refuses_it(self):
         # At n = 1, p = 1 leaves the zero atom with probability 0, which
         # from_pairs refuses; the family names n before building any box.

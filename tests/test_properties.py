@@ -6,6 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from prophet_order import (
     OptMaxProbPolicy,
     Order,
     SingleThresholdPolicy,
+    ValidationError,
     brute_force,
     eval_exact,
     make_policy,
@@ -175,13 +177,15 @@ def test_exact_equals_brute_force_on_edge_laws(case, baseline):
     instance, order = case
     policies = {
         "golden": GoldenPolicy(instance),
-        "maxprob": MaxProbPolicy(instance, baseline),
         "opt-exp": OptExpectationPolicy(instance, order),
-        "opt-maxprob": OptMaxProbPolicy(instance, order, baseline),
     }
     for threshold in threshold_probes(instance):
         policies[f"threshold:{threshold!r}"] = SingleThresholdPolicy(threshold)
     for objective in (Objective.expectation(), Objective.winprob(baseline)):
+        # The max-prob rules are built at the objective's baseline: a higher
+        # floor is refused (see the test below).
+        policies["maxprob"] = MaxProbPolicy(instance, objective.baseline)
+        policies["opt-maxprob"] = OptMaxProbPolicy(instance, order, objective.baseline)
         for name, policy in policies.items():
             exact = eval_exact(instance, order, policy, objective).value
             brute = brute_force(instance, order, policy, objective).value
@@ -193,11 +197,17 @@ def test_exact_equals_brute_force_on_edge_laws(case, baseline):
 def test_split_pass_is_bit_identical_to_the_per_pair_pass_on_edge_laws(case, rule_baseline, baseline):
     # The shipped max-prob rules are asked once per outcome and once per state;
     # the same decide behind a wrapper that declares nothing is asked once per
-    # (state, outcome). The rule's baseline need not be the objective's.
+    # (state, outcome). The rule's baseline may lie below the objective's; a
+    # rule built above it is refused, while the wrapper, which declares no
+    # baseline, is not.
     instance, order = case
     for policy in (MaxProbPolicy(instance, rule_baseline), OptMaxProbPolicy(instance, order, rule_baseline)):
         per_pair = FunctionPolicy(policy.decide, uses_prefix_max=True)
         for objective in (Objective.expectation(), Objective.winprob(baseline)):
+            if rule_baseline > objective.baseline:
+                with pytest.raises(ValidationError, match="built for another baseline"):
+                    eval_exact(instance, order, policy, objective)
+                continue
             split = eval_exact(instance, order, policy, objective).value
             paired = eval_exact(instance, order, per_pair, objective).value
             assert split.hex() == paired.hex(), (policy.kind, objective)
