@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import DiscreteDistribution, Instance, Order, ValidationError, validate_instance, validate_order
 from .thresholds import (
@@ -256,7 +256,7 @@ class OptMaxProbPolicy(Policy):
         nxt, dead, below = [0.0] * size, 0, [1.0] * size  # after position n: nothing left to win
         for t in range(n, 0, -1):
             box = instance.box(seq[t - 1])
-            nxt, dead, take_from[t] = _maxprob_row(grid, index, box, nxt, dead, below)
+            nxt, dead, take_from[t] = _maxprob_row(grid, index, box, nxt, dead, below, range(size))
             if dead < size:
                 dead_from[t - 1] = grid[dead]
             if t > 1:
@@ -282,21 +282,21 @@ def _maxprob_grid(instance: Instance, baseline: float) -> tuple[list[float], dic
 
 def _maxprob_row(grid: Sequence[float], index: dict[float, int], box: DiscreteDistribution,
                  nxt: Sequence[float], dead: int, below: Sequence[float],
-                 reach: Optional[Sequence[int]] = None) -> tuple[list[float], int, float]:
+                 reach: Sequence[int]) -> tuple[list[float], int, float]:
     """One position of :class:`OptMaxProbPolicy`'s backward induction: its row, first zero and ``take_from``.
 
     ``nxt[i]`` is the win probability of optimal play after the position from
     prefix max ``grid[i]``, ``dead`` its first zero (``len(grid)`` if none),
     and ``below[i]`` P[every later box < grid[i]].
 
-    ``reach``, if given, lists in ascending order the grid indices of the
-    prefix maxima that can occur before the box; ``None`` means the whole
-    grid. Only those entries are summed, the others stay 0.0, and the first
-    zero returned is the least summed one. Each summed entry is the full
-    row's, bit for bit, when ``nxt`` holds the full row's values at every
-    prefix max that can occur after the box (an entry at theta reads ``nxt``
-    at theta and at the box's values above theta) and the full ``nxt`` is
-    0.0 from ``dead`` on. The ``take_from`` returned is then not the rule's.
+    ``reach`` lists in ascending order the grid indices of the prefix maxima
+    that can occur before the box: the whole grid for a build. Only those
+    entries are summed, the others stay 0.0, and the first zero returned is
+    the least summed one. Each summed entry is the full row's, bit for bit,
+    when ``nxt`` holds the full row's values at every prefix max that can
+    occur after the box (an entry at theta reads ``nxt`` at theta and at the
+    box's values above theta) and the full ``nxt`` is 0.0 from ``dead`` on.
+    Over a part of the grid, the ``take_from`` returned is not the rule's.
     """
     # A new maximum v contributes p * max(win, nxt[v]) whatever the prefix
     # max theta; a value at or below theta wins nothing and contributes
@@ -316,11 +316,10 @@ def _maxprob_row(grid: Sequence[float], index: dict[float, int], box: DiscreteDi
     top = max(index[box.values[-1]], dead)
     row = [0.0] * len(grid)
     dead = top
-    # Under reach, top may lie above the full row's (dead is the least
-    # summed zero); an entry between the two sums p * 0.0 = 0.0, as the full
-    # row holds it.
-    rows = range(top - 1, -1, -1) if reach is None else reversed(reach[:bisect_left(reach, top)])
-    for i in rows:
+    # Over a part of the grid, top may lie above the full row's (dead is the
+    # least summed zero); an entry between the two sums p * 0.0 = 0.0, as the
+    # full row holds it.
+    for i in reversed(reach[:bisect_left(reach, top)]):
         theta, cont = grid[i], nxt[i]
         total = 0.0
         for v, p, fresh in outcomes:

@@ -499,14 +499,13 @@ class TestSweepSharesSuffixes:
 
     def test_the_sweep_sums_only_the_prefix_maxima_an_order_can_reach(self, monkeypatch):
         # Before the box at position t the prefix max is the baseline or a
-        # value of an earlier box: on maxprob_lb(200) at most t + 1 points of
-        # the grid of 202, where a build per order sums every entry below top.
+        # value of an earlier box: on maxprob_lb(200) at most t points of the
+        # grid of 202, where a build per order sums every entry below top.
         summed = []
         step = policies._maxprob_row
 
-        def counting(grid, index, box, nxt, dead, below, reach=None):
-            top = max(index[box.values[-1]], dead)
-            summed.append(top if reach is None else bisect_left(reach, top))
+        def counting(grid, index, box, nxt, dead, below, reach):
+            summed.append(bisect_left(reach, max(index[box.values[-1]], dead)))
             return step(grid, index, box, nxt, dead, below, reach)
 
         for module in (evaluation, policies):
