@@ -126,10 +126,11 @@ class DiscreteDistribution:
     def _on_values(self, values: Sequence[float]) -> "DiscreteDistribution":
         """This law's probabilities and CDF table on other ``values``, taken as given.
 
-        Private to ``families.single_threshold_family``, whose ``values`` are
-        floats, finite, non-negative and strictly increasing, one per atom. The
-        table depends only on the probabilities, so the constructor would
-        check and sum again what it checked and summed for this law.
+        Private to the family builders ``families.single_threshold_family``
+        and ``families.maxprob_lb``, whose ``values`` are floats, finite,
+        non-negative and strictly increasing, one per atom. The table depends
+        only on the probabilities, so the constructor would check and sum
+        again what it checked and summed for this law.
         """
         _, probs = zip(*self.outcomes)
         law = object.__new__(type(self))

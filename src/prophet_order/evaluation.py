@@ -268,6 +268,7 @@ def _walk(
     objective: Objective,
     values: Sequence[float],
 ) -> float:
+    """Payoff of one run on ``values`` (by box id), the rule asked at every position it reaches."""
     winprob = objective.is_winprob
     prefix = objective.baseline
     for pos in range(1, len(seq) + 1):
@@ -320,6 +321,15 @@ def monte_carlo(
 ) -> EvalResult:
     """Sampled estimate with standard error; reproducible from the seed.
 
+    Each sample draws one value per box, in box-id order, and walks the
+    order. The remaining set at a position is the same in every sample, so
+    the walk asks the rule once per distinct decision in a call and keeps the
+    answer: keyed by (position, value) for a rule that does not read the
+    prefix max, by (position, value) on a new maximum and (position, prefix
+    max) otherwise for one that ``splits_on_new_max``, and by (position,
+    value, prefix max) for any other rule. The promises are those the exact
+    pass relies on; :func:`brute_force` relies on neither.
+
     The sums run on payoffs divided by 2^(e - 1), e the ``frexp`` exponent of
     the largest payoff possible, so no square overflows; the scaling is exact.
     """
@@ -328,15 +338,44 @@ def monte_carlo(
     _check_inputs(instance, order, policy, objective)
     rng = random.Random(seed)
     seq = order.sequence
+    n = len(seq)
     rem = _remaining_sets(order)
     dists = instance.distributions
-    top = 1.0 if objective.is_winprob else max(d.values[-1] for d in dists)
+    draws = [d.sample for d in dists]
+    decide = policy.decide
+    winprob = objective.is_winprob
+    fresh_only = not policy.uses_prefix_max
+    split = policy.splits_on_new_max
+    top = 1.0 if winprob else max(d.values[-1] for d in dists)
     scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    memo: dict[tuple, bool] = {}
     s1 = 0.0
     s2 = 0.0
     for _ in range(samples):
-        values = tuple(d.sample(rng) for d in dists)
-        payoff = _walk(seq, rem, policy, objective, values) / scale
+        values = [draw(rng) for draw in draws]
+        payoff = 0.0
+        prefix = objective.baseline
+        for pos in range(1, n + 1):
+            v = values[seq[pos - 1]]
+            if fresh_only:
+                key = (pos, v)
+            elif split:
+                # A negative position keys a value that is no new maximum.
+                key = (pos, v) if v > prefix else (-pos, prefix)
+            else:
+                key = (pos, v, prefix)
+            accept = memo.get(key)
+            if accept is None:
+                accept = memo[key] = decide(DecisionContext(pos, v, prefix, rem[pos - 1]))
+            if accept:
+                if not winprob:
+                    payoff = v
+                elif v > prefix and (pos == n or max(map(values.__getitem__, seq[pos:])) < v):
+                    payoff = 1.0
+                break
+            if v > prefix:
+                prefix = v
+        payoff /= scale
         s1 += payoff
         s2 += payoff * payoff
     mean = s1 / samples

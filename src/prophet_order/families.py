@@ -139,10 +139,11 @@ def maxprob_lb(n: int) -> FamilyInstance:
     if abs(math.prod([q] * n) - LAMBDA) > 1e-12:
         raise ValueError(f"n={n} is too large: P[every rare box is 0] cannot land within 1e-12 of lambda")
     eps = 1.0 - q
-    boxes = [DiscreteDistribution.point(0.5)]
-    for i in range(1, n + 1):
-        boxes.append(DiscreteDistribution.from_pairs([(0.0, q), (float(i), eps)]))
-    instance = Instance(tuple(boxes))
+    # As in single_threshold_family: check and sum the rare law once and
+    # move it to each value.
+    rare = DiscreteDistribution.from_pairs([(0.0, q), (1.0, eps)])
+    rares = (rare,) + tuple(rare._on_values((0.0, float(i))) for i in range(2, n + 1))
+    instance = Instance((DiscreteDistribution.point(0.5),) + rares)
     decreasing = Order((0,) + tuple(range(n, 0, -1)))
     increasing = Order(tuple(range(n + 1)))
     return FamilyInstance(

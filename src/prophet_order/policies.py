@@ -52,15 +52,21 @@ class DecisionContext(NamedTuple):
 class Policy:
     """Base stopping rule. Subclasses implement :meth:`decide`.
 
+    :meth:`decide` must be a function of its context: ``monte_carlo`` asks
+    each distinct decision once per call and reuses the answer.
+
     ``uses_prefix_max`` tells evaluators whether the decision reads
     ``prefix_max``. A policy that sets it to ``False`` lets the exact pass
-    keep one state per position under expectation.
+    keep one state per position under expectation, and ``monte_carlo`` key
+    its decisions by position and value.
 
     ``splits_on_new_max`` promises that the decision on a new maximum
     (``current_value > prefix_max``) does not depend on ``prefix_max``, and
     the decision on any other value does not depend on ``current_value``. The
     exact pass then asks once per outcome and once per prefix max instead of
-    once per pair; a rule that breaks the promise is evaluated wrongly.
+    once per pair, and ``monte_carlo`` keys its decisions the same way; a
+    rule that breaks the promise is evaluated wrongly. ``brute_force`` relies
+    on neither promise.
     """
 
     kind: str = "custom"

@@ -30,6 +30,7 @@ from prophet_order import (
     validate_instance,
     validate_order,
 )
+from prophet_order import evaluation
 from prophet_order.thresholds import win_factor
 
 GUARANTEE_CORPUS_SEED = 0x5EED_0001
@@ -49,10 +50,11 @@ class FunctionPolicy(Policy):
     """Wrap an arbitrary decision function, for custom rules in tests."""
 
     def __init__(self, fn: Callable[[DecisionContext], bool], kind: str = "custom",
-                 uses_prefix_max: bool = True):
+                 uses_prefix_max: bool = True, splits_on_new_max: bool = False):
         self._fn = fn
         self.kind = kind
         self.uses_prefix_max = uses_prefix_max
+        self.splits_on_new_max = splits_on_new_max
 
     def decide(self, ctx: DecisionContext) -> bool:
         return self._fn(ctx)
@@ -176,6 +178,47 @@ def simulate_profile(
             return 1.0 if v > prefix and all(values[b] < v for b in seq[pos:]) else 0.0
         prefix = max(prefix, v)
     return 0.0
+
+
+def per_context_monte_carlo(
+    instance: Instance, order: Order, policy: Policy, objective: Objective, samples: int, seed: int
+) -> tuple[float, float]:
+    """Reference for ``monte_carlo``: (value, stderr) with the rule asked at every position of every sample.
+
+    The same draws, scaling and sums as ``monte_carlo``, each payoff from
+    ``simulate_profile``. ``monte_carlo`` must match it bit for bit on any
+    rule that keeps the promises its flags make.
+    """
+    evaluation._check_inputs(instance, order, policy, objective)
+    rng = random.Random(seed)
+    top = 1.0 if objective.is_winprob else max(d.values[-1] for d in instance.distributions)
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    s1 = 0.0
+    s2 = 0.0
+    for _ in range(samples):
+        payoff = simulate_profile(order, policy, objective, draw_profile(instance, rng)) / scale
+        s1 += payoff
+        s2 += payoff * payoff
+    mean = s1 / samples
+    if samples == 1:
+        return mean * scale, 0.0
+    var = max(0.0, (s2 - samples * mean * mean) / (samples - 1))
+    return mean * scale, math.sqrt(var / samples) * scale
+
+
+def per_context_enumeration(instance: Instance, order: Order, policy: Policy, objective: Objective) -> float:
+    """Reference for ``brute_force``: every profile's payoff from ``simulate_profile``, summed as it sums.
+
+    It asks the rule at every position of every profile, so it relies on no
+    promise a rule's flags make.
+    """
+    evaluation._check_inputs(instance, order, policy, objective)
+    total = 0.0
+    for combo in itertools.product(*[d.outcomes for d in instance.distributions]):
+        payoff = simulate_profile(order, policy, objective, tuple(v for v, _ in combo))
+        if payoff:
+            total += math.prod(p for _, p in combo) * payoff
+    return min(max(total, 0.0), 1.0) if objective.is_winprob else total
 
 
 def random_instance(

@@ -30,7 +30,15 @@ from prophet_order import (
 )
 from prophet_order import evaluation, policies
 from prophet_order.thresholds import carry_win_factors, win_factor
-from tests.helpers import FunctionPolicy, continuation_audit, oracle_corpus, random_instance, random_order
+from tests.helpers import (
+    FunctionPolicy,
+    continuation_audit,
+    oracle_corpus,
+    per_context_enumeration,
+    per_context_monte_carlo,
+    random_instance,
+    random_order,
+)
 
 
 def classic_two_box(eps):
@@ -278,6 +286,24 @@ class TestOracleEquivalence:
                 b = brute_force(inst, order, pol, obj).value
                 assert abs(a - b) <= 1e-12
 
+    def test_brute_force_relies_on_no_promise_of_the_rule(self):
+        # The rule declares splits_on_new_max but reads the prefix max on a
+        # new maximum, so the exact pass misreads it; the oracle must still
+        # be the per-context enumeration bit for bit.
+        def jump(ctx):
+            return ctx.current_value >= ctx.prefix_max + 3.0
+        rng = random.Random(64)
+        misread = 0
+        for _ in range(30):
+            inst = random_instance(rng, 5, 4)
+            order = random_order(rng, inst.n)
+            pol = FunctionPolicy(jump, kind="jump", splits_on_new_max=True)
+            for obj in (Objective.expectation(), Objective.winprob(0.0)):
+                b = brute_force(inst, order, pol, obj).value
+                assert b.hex() == per_context_enumeration(inst, order, pol, obj).hex(), obj
+                misread += abs(eval_exact(inst, order, pol, obj).value - b) > 1e-12
+        assert misread
+
     def test_brute_force_cap(self, monkeypatch):
         inst = Instance.from_supports([[(0.0, 0.5), (1.0, 0.5)]] * 3)
         monkeypatch.setattr(evaluation, "PROFILE_CAP", 7)
@@ -363,6 +389,98 @@ class TestMonteCarlo:
         _, small = estimate(math.ldexp(top, -1000))
         assert res.value == math.ldexp(small.value, 1000)
         assert res.stderr == math.ldexp(small.stderr, 1000)
+
+    RULES = {
+        "golden": lambda inst, order: GoldenPolicy(inst),
+        "maxprob": lambda inst, order: MaxProbPolicy(inst),
+        "opt-maxprob": lambda inst, order: OptMaxProbPolicy(inst, order),
+        "opt-exp": lambda inst, order: OptExpectationPolicy(inst, order),
+        "threshold": lambda inst, order: SingleThresholdPolicy(inst.box(order.sequence[-1]).values[-1]),
+        "near-max": lambda inst, order: FunctionPolicy(
+            lambda ctx: ctx.current_value >= 0.5 * ctx.prefix_max > 0, kind="near-max"),
+    }
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_matches_the_per_context_loop_bit_for_bit(self, rule):
+        rng = random.Random(65)
+        for k in range(12):
+            inst = random_instance(rng, 5, 3)
+            order = random_order(rng, inst.n)
+            positive = sorted(v for d in inst.distributions for v in d.values if v > 0.0)
+            baseline = positive[len(positive) // 2] if positive else 1.0
+            for obj in (Objective.expectation(), Objective.winprob(0.0), Objective.winprob(baseline)):
+                pol = self.RULES[rule](inst, order)
+                got = monte_carlo(inst, order, pol, obj, 400, seed=k)
+                ref = per_context_monte_carlo(inst, order, self.RULES[rule](inst, order), obj, 400, seed=k)
+                assert (got.value.hex(), got.stderr.hex()) == (ref[0].hex(), ref[1].hex()), (k, obj)
+
+    def test_a_new_maximum_and_an_equal_prefix_max_are_asked_apart(self):
+        # 3.0 is a value of box 0 and of box 1: at position 2 it is the
+        # prefix max in some samples and a new maximum in others. Expectation
+        # only, as win probability rejects a value two boxes share.
+        inst = Instance.from_supports([
+            [(0.0, 0.5), (3.0, 0.5)], [(1.0, 0.5), (3.0, 0.5)], [(0.0, 0.85), (5.0, 0.15)],
+        ])
+        order = Order((0, 1, 2))
+        obj = Objective.expectation()
+        got = monte_carlo(inst, order, MaxProbPolicy(inst), obj, 400, seed=1)
+        ref = per_context_monte_carlo(inst, order, MaxProbPolicy(inst), obj, 400, seed=1)
+        assert (got.value.hex(), got.stderr.hex()) == (ref[0].hex(), ref[1].hex())
+
+    @staticmethod
+    def _counted_keys(pol):
+        """Wrap ``pol.decide`` and return the list its calls append their decision keys to."""
+        keys = []
+        decide = pol.decide
+
+        def counting(ctx):
+            t, v, prefix, _ = ctx
+            if not pol.uses_prefix_max:
+                keys.append((t, v))
+            elif pol.splits_on_new_max:
+                keys.append(("new", t, v) if v > prefix else ("old", t, prefix))
+            else:
+                keys.append((t, v, prefix))
+            return decide(ctx)
+
+        pol.decide = counting
+        return keys
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_asks_each_distinct_decision_once_per_call(self, rule):
+        rng = random.Random(66)
+        for k in range(8):
+            inst = random_instance(rng, 5, 3)
+            order = random_order(rng, inst.n)
+            for obj in (Objective.expectation(), Objective.winprob(0.0)):
+                pol = self.RULES[rule](inst, order)
+                keys = self._counted_keys(pol)
+                monte_carlo(inst, order, pol, obj, 300, seed=k)
+                assert len(keys) == len(set(keys)), (k, obj)
+
+    @pytest.mark.parametrize("rule,objective", [
+        ("golden", Objective.expectation()), ("maxprob", Objective.winprob(0.0)),
+    ])
+    def test_a_long_walk_asks_far_fewer_times_than_it_steps(self, rule, objective):
+        # 50 boxes of a zero atom and three positive values, in increasing
+        # order of their largest, as the benchmark's scale workload builds
+        # them: a max-prob walk runs through about every box.
+        rng = random.Random(67)
+        values = iter(rng.sample(range(1, 1 << 20), 150))
+        supports = []
+        for _ in range(50):
+            weights = [rng.random() + 0.05 for _ in range(4)]
+            points = [0.0] + sorted(next(values) / 1024.0 for _ in range(3))
+            supports.append([(v, w / sum(weights)) for v, w in zip(points, weights)])
+        supports.sort(key=lambda box: box[-1][0])
+        inst = Instance.from_supports(supports)
+        order = Order.identity(50)
+        pol = self.RULES[rule](inst, order)
+        keys = self._counted_keys(pol)
+        samples = 1000
+        monte_carlo(inst, order, pol, objective, samples, seed=3)
+        assert len(keys) == len(set(keys))
+        assert len(keys) <= samples * inst.n // 20
 
     def test_rejects_nonpositive_samples(self):
         inst = classic_two_box(0.5)

@@ -154,6 +154,23 @@ class TestMaxProbLb:
         with pytest.raises(ValueError):
             maxprob_lb(1)
 
+    @pytest.mark.parametrize("n", [2, 3, 400])
+    def test_rare_boxes_are_the_from_pairs_boxes(self, n):
+        # Every rare box is the first one's checked table moved to its value.
+        # q = 1 - eps lies in [1/2, 1), so eps and 1 - eps are exact.
+        def bits(box):
+            return ([(v.hex(), p.hex()) for v, p in box.outcomes],
+                    [v.hex() for v in box.values], [c.hex() for c in box.cdf])
+
+        fam = maxprob_lb(n)
+        eps = fam.parameters["eps"]
+        boxes = fam.instance.distributions
+        assert len(boxes) == n + 1
+        assert bits(boxes[0]) == bits(DiscreteDistribution.point(0.5))
+        for i, box in enumerate(boxes[1:], start=1):
+            ref = DiscreteDistribution.from_pairs([(0.0, 1.0 - eps), (float(i), eps)])
+            assert bits(box) == bits(ref), i
+
 
 def combinatorial_winprob(n, T):
     """Independent oracle for the three-period order: the threshold rule wins
