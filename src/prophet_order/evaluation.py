@@ -146,13 +146,13 @@ def eval_exact(instance: Instance, order: Order, policy: Policy, objective: Obje
     prefix/suffix products (everything the rule passes is strictly below its
     threshold, hence below anything it accepts). A policy that does not read
     the prefix max keeps a single state under expectation, and one that
-    declares ``splits_on_new_max`` is asked once per outcome and once per
-    state at a position, not once per pair. The pass counts the states it
-    holds beyond one per position, summed over positions, and raises
-    :class:`CapExceededError` once that count exceeds ``STATE_CAP``; use
-    :func:`monte_carlo` on such inputs. A :class:`GoldenPolicy` arrives warmed
-    for the order by the shared input check, so the pass finds its
-    thresholds cached.
+    declares ``splits_on_new_max`` is asked at most m + ceil(log2(S + 1))
+    times at a position of m outcomes and S states, not once per pair. The
+    pass counts the states it holds beyond one per position, summed over
+    positions, and raises :class:`CapExceededError` once that count exceeds
+    ``STATE_CAP``; use :func:`monte_carlo` on such inputs. A
+    :class:`GoldenPolicy` arrives warmed for the order by the shared input
+    check, so the pass finds its thresholds cached.
     """
     _check_inputs(instance, order, policy, objective)
     if isinstance(policy, SingleThresholdPolicy) and objective.is_winprob:
@@ -207,6 +207,10 @@ def _state_dp(instance: Instance, order: Order, policy: Policy, objective: Objec
 
     It builds a position's remaining set on reaching it, and pays an accepted
     new maximum v the :func:`win_factor` of the later boxes, the last first.
+    A rule that splits on a new maximum answers a value that is no new maximum
+    from the least state that accepts one, found by bisection over the sorted
+    states. Every sum runs as in the pass that asks once per pair, so the
+    value is bit-identical to it.
     """
     n = instance.n
     winprob = objective.is_winprob
@@ -221,21 +225,29 @@ def _state_dp(instance: Instance, order: Order, policy: Policy, objective: Objec
         outcomes = instance.box(seq[pos - 1]).outcomes
         remaining = frozenset(seq[pos:])
         # A rule that splits on a new maximum is asked once per outcome and
-        # once per state wherever that is fewer calls than once per pair.
-        # Every state is >= theta0, so a new maximum over any state is decided
-        # as over theta0, and any other value as the state itself.
+        # ceil(log2(held + 1)) times wherever that is fewer calls than once
+        # per pair. Every state is >= theta0, so a new maximum over any state
+        # is decided as over theta0. Any other value is decided as the state
+        # itself, and the states that accept it are those >= `cut`.
         held = len(states)
         split = policy.splits_on_new_max and held + len(outcomes) < held * len(outcomes)
         if split:
             fresh = {v: decide(DecisionContext(pos, v, theta0, remaining)) for v, _ in outcomes if v > theta0}
+            ordered = sorted(states)
+            lo, hi = 0, held
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if decide(DecisionContext(pos, ordered[mid], ordered[mid], remaining)):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            cut = ordered[lo] if lo < held else math.inf
         factors: dict[float, float] = {}  # P[all later boxes < v], per accepted v
         nxt: dict[float, float] = {}
         for theta, mass in states.items():
-            if split:
-                stale = decide(DecisionContext(pos, theta, theta, remaining))
             for v, p in outcomes:
                 if split:
-                    accept = fresh[v] if v > theta else stale
+                    accept = fresh[v] if v > theta else theta >= cut
                 else:
                     accept = decide(DecisionContext(pos, v, theta, remaining))
                 if accept:
@@ -327,8 +339,9 @@ def monte_carlo(
     answer: keyed by (position, value) for a rule that does not read the
     prefix max, by (position, value) on a new maximum and (position, prefix
     max) otherwise for one that ``splits_on_new_max``, and by (position,
-    value, prefix max) for any other rule. The promises are those the exact
-    pass relies on; :func:`brute_force` relies on neither.
+    value, prefix max) for any other rule. Unlike the exact pass it does not
+    rely on a split rule's answer on old maxima being monotone;
+    :func:`brute_force` relies on no promise.
 
     The sums run on payoffs divided by 2^(e - 1), e the ``frexp`` exponent of
     the largest payoff possible, so no square overflows; the scaling is exact.

@@ -62,11 +62,13 @@ class Policy:
 
     ``splits_on_new_max`` promises that the decision on a new maximum
     (``current_value > prefix_max``) does not depend on ``prefix_max``, and
-    the decision on any other value does not depend on ``current_value``. The
-    exact pass then asks once per outcome and once per prefix max instead of
-    once per pair, and ``monte_carlo`` keys its decisions the same way; a
-    rule that breaks the promise is evaluated wrongly. ``brute_force`` relies
-    on neither promise.
+    the decision on any other value does not depend on ``current_value`` and,
+    once it accepts at some ``prefix_max``, accepts at every larger one (same
+    position and remaining set). The exact pass then asks once per outcome
+    and about log2 of the prefix maxima it holds, by bisection, instead of
+    once per pair; ``monte_carlo`` keys its decisions by the first two
+    clauses. A rule that breaks the promise is evaluated wrongly.
+    ``brute_force`` relies on neither promise.
     """
 
     kind: str = "custom"

@@ -246,6 +246,26 @@ def random_instance(
     return Instance.from_supports(boxes)
 
 
+def many_state_instance(seed: int, n: int = 60) -> Instance:
+    """n boxes, each a zero atom plus three distinct positive dyadic values,
+    sorted by their largest value.
+
+    The max-prob rules pass most new maxima on it, so the exact pass holds
+    hundreds of prefix maxima per position; the zero atom keeps mass on every
+    position to the end.
+    """
+    rng = random.Random(seed)
+    positives = rng.sample(range(1, 1 << 20), 3 * n)
+    boxes = []
+    for i in range(n):
+        weights = [rng.random() + 0.05 for _ in range(4)]
+        total = sum(weights)
+        values = [0.0] + sorted(k / 1024.0 for k in positives[3 * i:3 * i + 3])
+        boxes.append([(v, w / total) for v, w in zip(values, weights)])
+    boxes.sort(key=lambda box: box[-1][0])
+    return Instance.from_supports(boxes)
+
+
 def random_order(rng: random.Random, n: int) -> Order:
     seq = list(range(n))
     rng.shuffle(seq)

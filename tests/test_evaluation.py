@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -33,6 +34,7 @@ from prophet_order.thresholds import carry_win_factors, win_factor
 from tests.helpers import (
     FunctionPolicy,
     continuation_audit,
+    many_state_instance,
     oracle_corpus,
     per_context_enumeration,
     per_context_monte_carlo,
@@ -311,6 +313,107 @@ class TestOracleEquivalence:
             brute_force(inst, Order((0, 1, 2)), GoldenPolicy(inst), Objective.expectation())
 
 
+def stepped_split_rule(inst, order):
+    """A split rule whose answer on a value that is no new maximum steps from
+    no to yes at a prefix max that changes from position to position."""
+    grid = sorted({v for d in inst.distributions for v in d.values})
+    steps = [grid[(37 * t) % len(grid)] for t in range(inst.n + 1)]
+    maxprob = MaxProbPolicy(inst)
+
+    def decide(ctx):
+        if ctx.current_value > ctx.prefix_max:
+            return maxprob.decide(ctx)
+        return ctx.prefix_max >= steps[ctx.position]
+
+    return FunctionPolicy(decide, kind="stepped", splits_on_new_max=True)
+
+
+class TestSplitPass:
+    """The exact pass on a rule that declares ``splits_on_new_max``: one call
+    per outcome above the start state, and a bisection over the states for
+    the answer on a value that is no new maximum."""
+
+    RULES = {
+        "maxprob": lambda inst, order: MaxProbPolicy(inst),
+        "opt-maxprob": lambda inst, order: OptMaxProbPolicy(inst, order),
+        "stepped": stepped_split_rule,
+    }
+
+    @pytest.mark.parametrize("rule", ["maxprob", "opt-maxprob"])
+    @pytest.mark.parametrize("objective", [Objective.expectation(), Objective.winprob(0.0)], ids=["exp", "win"])
+    def test_asks_once_per_fresh_outcome_and_log2_of_the_states_per_position(self, rule, objective):
+        inst = many_state_instance(1)
+        order = Order.identity(inst.n)
+        pol = self.RULES[rule](inst, order)
+        decide = pol.decide
+        # The per-pair pass asks about every state, so it lists them.
+        states = collections.defaultdict(set)
+
+        def recording(ctx):
+            states[ctx.position].add(ctx.prefix_max)
+            return decide(ctx)
+
+        eval_exact(inst, order, FunctionPolicy(recording), objective)
+        calls = collections.Counter()
+
+        def counting(ctx):
+            calls[ctx.position] += 1
+            return decide(ctx)
+
+        pol.decide = counting
+        eval_exact(inst, order, pol, objective)
+        assert set(calls) == set(states)
+        assert max(map(len, states.values())) >= 150
+        for pos, held in states.items():
+            fresh = sum(v > objective.baseline for v in inst.box(order.sequence[pos - 1]).values)
+            # S.bit_length() is ceil(log2(S + 1)) for S >= 1.
+            assert calls[pos] <= fresh + len(held).bit_length(), (pos, len(held))
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_many_states_give_the_per_pair_pass_bit_for_bit(self, rule):
+        # The edge laws of the property tests hold a few states per position;
+        # here they run to about 175, so the bisection reaches deep branches.
+        inst = many_state_instance(2)
+        positive = sorted(v for d in inst.distributions for v in d.values if v > 0.0)
+        objectives = (Objective.expectation(), Objective.winprob(0.0), Objective.winprob(positive[len(positive) // 4]))
+        for order in (Order.identity(inst.n), random_order(random.Random(2), inst.n)):
+            pol = self.RULES[rule](inst, order)
+            per_pair = FunctionPolicy(pol.decide)
+            for obj in objectives:
+                split = eval_exact(inst, order, pol, obj).value
+                paired = eval_exact(inst, order, per_pair, obj).value
+                assert split.hex() == paired.hex(), (order.sequence[:3], obj)
+
+    def test_only_the_exact_pass_relies_on_a_monotone_answer_on_old_maxima(self):
+        # The rule declares splits_on_new_max and decides a new maximum
+        # without the prefix max, but takes any other value only while the
+        # prefix max lies in a band: above the band its answer falls back to
+        # no, so the exact pass's bisection misreads it. Enumeration and
+        # sampling must still be their per-context loops bit for bit.
+        rng = random.Random(68)
+        misread = 0
+        for k in range(30):
+            inst = random_instance(rng, 5, 4)
+            order = random_order(rng, inst.n)
+            grid = sorted({v for d in inst.distributions for v in d.values})
+            low, high, take = grid[len(grid) // 4], grid[len(grid) // 2], grid[3 * len(grid) // 4]
+
+            def band(ctx, low=low, high=high, take=take):
+                if ctx.current_value > ctx.prefix_max:
+                    return ctx.current_value >= take
+                return low <= ctx.prefix_max < high
+
+            pol = FunctionPolicy(band, kind="band", splits_on_new_max=True)
+            for obj in (Objective.expectation(), Objective.winprob(0.0)):
+                b = brute_force(inst, order, pol, obj).value
+                assert b.hex() == per_context_enumeration(inst, order, pol, obj).hex(), obj
+                got = monte_carlo(inst, order, pol, obj, 200, seed=k)
+                ref = per_context_monte_carlo(inst, order, pol, obj, 200, seed=k)
+                assert (got.value.hex(), got.stderr.hex()) == (ref[0].hex(), ref[1].hex()), obj
+                misread += abs(eval_exact(inst, order, pol, obj).value - b) > 1e-12
+        assert misread
+
+
 class TestRouteOrder:
     # The bare constructor keeps these probabilities' bits as written.
     BOXES = (
@@ -465,15 +568,7 @@ class TestMonteCarlo:
         # 50 boxes of a zero atom and three positive values, in increasing
         # order of their largest, as the benchmark's scale workload builds
         # them: a max-prob walk runs through about every box.
-        rng = random.Random(67)
-        values = iter(rng.sample(range(1, 1 << 20), 150))
-        supports = []
-        for _ in range(50):
-            weights = [rng.random() + 0.05 for _ in range(4)]
-            points = [0.0] + sorted(next(values) / 1024.0 for _ in range(3))
-            supports.append([(v, w / sum(weights)) for v, w in zip(points, weights)])
-        supports.sort(key=lambda box: box[-1][0])
-        inst = Instance.from_supports(supports)
+        inst = many_state_instance(67, 50)
         order = Order.identity(50)
         pol = self.RULES[rule](inst, order)
         keys = self._counted_keys(pol)

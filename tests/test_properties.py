@@ -195,11 +195,12 @@ def test_exact_equals_brute_force_on_edge_laws(case, baseline):
 @SETTINGS
 @given(edge_cases(), st.sampled_from([0.0, 0.5, 1e6]), st.sampled_from([0.0, 0.5, 1e6]))
 def test_split_pass_is_bit_identical_to_the_per_pair_pass_on_edge_laws(case, rule_baseline, baseline):
-    # The shipped max-prob rules are asked once per outcome and once per state;
-    # the same decide behind a wrapper that declares nothing is asked once per
-    # (state, outcome). The rule's baseline may lie below the objective's; a
-    # rule built above it is refused, while the wrapper, which declares no
-    # baseline, is not.
+    # The shipped max-prob rules are asked once per outcome and by bisection
+    # over the states; the same decide behind a wrapper that declares nothing
+    # is asked once per (state, outcome). These laws hold a few states per
+    # position; TestSplitPass in test_evaluation covers hundreds. The rule's
+    # baseline may lie below the objective's; a rule built above it is
+    # refused, while the wrapper, which declares no baseline, is not.
     instance, order = case
     for policy in (MaxProbPolicy(instance, rule_baseline), OptMaxProbPolicy(instance, order, rule_baseline)):
         per_pair = FunctionPolicy(policy.decide, uses_prefix_max=True)
