@@ -20,9 +20,9 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import Instance, Order, ValidationError, validate_instance, validate_order
+from .core import DiscreteDistribution, Instance, Order, ValidationError, validate_instance, validate_order
 from .policies import (
     DecisionContext,
     GoldenPolicy,
@@ -127,11 +127,6 @@ def _check_inputs(instance: Instance, order: Order, policy: Policy, objective: O
         )
     if isinstance(policy, GoldenPolicy):
         policy.warm(order)
-
-
-def _remaining_sets(order: Order) -> list[frozenset[int]]:
-    seq = order.sequence
-    return [frozenset(seq[pos:]) for pos in range(1, len(seq) + 1)]
 
 
 def _clamp_prob(x: float) -> float:
@@ -273,99 +268,29 @@ def _state_dp(instance: Instance, order: Order, policy: Policy, objective: Objec
     return EvalResult(_clamp_prob(total) if winprob else total, "exact-dp")
 
 
-def _walk(
-    seq: Sequence[int],
-    rem: Sequence[frozenset[int]],
-    policy: Policy,
-    objective: Objective,
-    values: Sequence[float],
-) -> float:
-    """Payoff of one run on ``values`` (by box id), the rule asked at every position it reaches."""
-    winprob = objective.is_winprob
-    prefix = objective.baseline
-    for pos in range(1, len(seq) + 1):
-        bid = seq[pos - 1]
-        v = values[bid]
-        ctx = DecisionContext(pos, v, prefix, rem[pos - 1])
-        if policy.decide(ctx):
-            if not winprob:
-                return v
-            if v <= prefix:
-                return 0.0
-            return 1.0 if all(values[b] < v for b in rem[pos - 1]) else 0.0
-        if v > prefix:
-            prefix = v
-    return 0.0
-
-
-def brute_force(instance: Instance, order: Order, policy: Policy, objective: Objective) -> EvalResult:
-    """Enumerate every value profile with its probability and simulate the policy.
-
-    Independent of :func:`eval_exact`; serves as its oracle on small inputs.
-    """
-    _check_inputs(instance, order, policy, objective)
-    n_profiles = math.prod(len(d.outcomes) for d in instance.distributions)
-    if n_profiles > PROFILE_CAP:
-        raise CapExceededError(
-            f"{n_profiles} profiles exceed cap {PROFILE_CAP}; use monte_carlo or eval_exact"
-        )
-    seq = order.sequence
-    rem = _remaining_sets(order)
-    total = 0.0
-    for combo in itertools.product(*[d.outcomes for d in instance.distributions]):
-        prob = math.prod(p for _, p in combo)
-        values = tuple(v for v, _ in combo)
-        payoff = _walk(seq, rem, policy, objective, values)
-        if payoff:
-            total += prob * payoff
-    if objective.is_winprob:
-        total = _clamp_prob(total)
-    return EvalResult(total, "brute-force")
-
-
-def monte_carlo(
-    instance: Instance,
+def _payoffs(
     order: Order,
     policy: Policy,
     objective: Objective,
-    samples: int,
-    seed: int,
-) -> EvalResult:
-    """Sampled estimate with standard error; reproducible from the seed.
+    profiles: Iterable[Sequence[float]],
+    trusted: bool,
+) -> Iterator[float]:
+    """Yield the payoff of each profile (values by box id) in turn.
 
-    Each sample draws one value per box, in box-id order, and walks the
-    order. The remaining set at a position is the same in every sample, so
-    the walk asks the rule once per distinct decision in a call and keeps the
-    answer: keyed by (position, value) for a rule that does not read the
-    prefix max, by (position, value) on a new maximum and (position, prefix
-    max) otherwise for one that ``splits_on_new_max``, and by (position,
-    value, prefix max) for any other rule. Unlike the exact pass it does not
-    rely on a split rule's answer on old maxima being monotone;
-    :func:`brute_force` relies on no promise.
-
-    The sums run on payoffs divided by 2^(e - 1), e the ``frexp`` exponent of
-    the largest payoff possible, so no square overflows; the scaling is exact.
+    The remaining set at a position is the same in every profile, so the rule
+    is asked once per distinct decision: per whole context (position, value,
+    prefix max), or with ``trusted`` per what its flags promise to read
+    (:class:`Policy`).
     """
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
-    _check_inputs(instance, order, policy, objective)
-    rng = random.Random(seed)
     seq = order.sequence
     n = len(seq)
-    rem = _remaining_sets(order)
-    dists = instance.distributions
-    draws = [d.sample for d in dists]
+    rem = [frozenset(seq[pos:]) for pos in range(1, n + 1)]
     decide = policy.decide
     winprob = objective.is_winprob
-    fresh_only = not policy.uses_prefix_max
-    split = policy.splits_on_new_max
-    top = 1.0 if winprob else max(d.values[-1] for d in dists)
-    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    fresh_only = trusted and not policy.uses_prefix_max
+    split = trusted and policy.splits_on_new_max
     memo: dict[tuple, bool] = {}
-    s1 = 0.0
-    s2 = 0.0
-    for _ in range(samples):
-        values = [draw(rng) for draw in draws]
+    for values in profiles:
         payoff = 0.0
         prefix = objective.baseline
         for pos in range(1, n + 1):
@@ -388,6 +313,64 @@ def monte_carlo(
                 break
             if v > prefix:
                 prefix = v
+        yield payoff
+
+
+def brute_force(instance: Instance, order: Order, policy: Policy, objective: Objective) -> EvalResult:
+    """Enumerate every value profile with its probability and simulate the policy.
+
+    Independent of :func:`eval_exact`; serves as its oracle on small inputs.
+    It asks each whole context once, so it relies on no promise of the flags.
+    """
+    _check_inputs(instance, order, policy, objective)
+    dists = instance.distributions
+    n_profiles = math.prod(len(d.outcomes) for d in dists)
+    if n_profiles > PROFILE_CAP:
+        raise CapExceededError(
+            f"{n_profiles} profiles exceed cap {PROFILE_CAP}; use monte_carlo or eval_exact"
+        )
+    profiles = itertools.product(*[d.values for d in dists])
+    weights = itertools.product(*[d.probabilities for d in dists])
+    total = 0.0
+    for payoff, probs in zip(_payoffs(order, policy, objective, profiles, False), weights):
+        if payoff:
+            total += math.prod(probs) * payoff
+    if objective.is_winprob:
+        total = _clamp_prob(total)
+    return EvalResult(total, "brute-force")
+
+
+def monte_carlo(
+    instance: Instance,
+    order: Order,
+    policy: Policy,
+    objective: Objective,
+    samples: int,
+    seed: int,
+) -> EvalResult:
+    """Sampled estimate with standard error; reproducible from the seed.
+
+    Each sample draws one value per box, in box-id order, and walks the
+    order, asking the rule once per distinct decision in a call, keyed by
+    what its flags promise (see :class:`Policy`). Unlike the exact pass it
+    does not rely on a split rule's answer on old maxima being monotone;
+    :func:`brute_force` relies on no promise.
+
+    The sums run on payoffs divided by 2^(e - 1), e the ``frexp`` exponent of
+    the largest payoff possible, so no square overflows; the scaling is exact.
+    """
+    if samples < 1:
+        raise ValidationError(f"samples must be >= 1, got {samples}")
+    _check_inputs(instance, order, policy, objective)
+    rng = random.Random(seed)
+    dists = instance.distributions
+    draws = map(DiscreteDistribution.sample, itertools.cycle(dists), itertools.repeat(rng))
+    profiles = itertools.islice(zip(*[draws] * len(dists)), samples)
+    top = 1.0 if objective.is_winprob else max(d.values[-1] for d in dists)
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    s1 = 0.0
+    s2 = 0.0
+    for payoff in _payoffs(order, policy, objective, profiles, True):
         payoff /= scale
         s1 += payoff
         s2 += payoff * payoff

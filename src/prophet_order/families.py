@@ -24,6 +24,9 @@ GOLDEN_LB_MAX_BOXES = 1000
 # single_threshold_family builds n boxes of about 0.6 KB; at this count the
 # family and its exact win probability take about a second and 80 MB.
 SINGLE_THRESHOLD_MAX_BOXES = 100_000
+# maxprob_lb's 1e-12 check refuses an n only after nudging q over n-fold
+# products; this cap refuses a far larger n before that work.
+MAXPROB_LB_MAX_BOXES = 100_000
 
 
 @dataclass(frozen=True)
@@ -128,11 +131,14 @@ def maxprob_lb(n: int) -> FamilyInstance:
     (the construction sits on the accept boundary of the max-probability rule,
     so eps is nudged by ulps until ``win_factor``'s product is >= lambda). An
     n so large that one ulp of q moves that product by more than 1e-12 raises
-    ``ValueError``. Canonical orders run the rare boxes decreasing (the hard
-    order) and increasing after the deterministic box.
+    ``ValueError``; an n above the cap raises :class:`CapExceededError` first.
+    Canonical orders run the rare boxes decreasing (the hard order) and
+    increasing after the deterministic box.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    if n > MAXPROB_LB_MAX_BOXES:
+        raise CapExceededError(f"n={n} exceeds the max-prob family's cap of {MAXPROB_LB_MAX_BOXES} boxes")
     q = LAMBDA ** (1.0 / n)
     while math.prod([q] * n) < LAMBDA:
         q = math.nextafter(q, 1.0)

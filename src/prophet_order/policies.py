@@ -52,8 +52,9 @@ class DecisionContext(NamedTuple):
 class Policy:
     """Base stopping rule. Subclasses implement :meth:`decide`.
 
-    :meth:`decide` must be a function of its context: ``monte_carlo`` asks
-    each distinct decision once per call and reuses the answer.
+    :meth:`decide` must be a function of its context: ``brute_force`` and
+    ``monte_carlo`` ask each distinct decision once per call and reuse the
+    answer.
 
     ``uses_prefix_max`` tells evaluators whether the decision reads
     ``prefix_max``. A policy that sets it to ``False`` lets the exact pass

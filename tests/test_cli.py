@@ -492,6 +492,13 @@ class TestReproduce:
         assert_clean_exit_2(code, out, err)
         assert "n=50000" in err
 
+    def test_maxprob_lb_above_the_cap_exits_3(self, capsys):
+        # used to build [q] * n first and end in a MemoryError traceback
+        code, out, err = run(capsys, ["reproduce", "maxprob-lb", "--n", "1000000000000"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: n=1000000000000 exceeds the max-prob family's cap of 100000 boxes\n"
+
     def test_single_threshold_negative_n_exits_2(self, capsys):
         # used to print "math domain error" from the square root of n
         code, out, err = run(capsys, ["reproduce", "single-threshold", "--n", "-5"])

@@ -306,6 +306,40 @@ class TestOracleEquivalence:
                 misread += abs(eval_exact(inst, order, pol, obj).value - b) > 1e-12
         assert misread
 
+    @pytest.mark.parametrize("rule,objective", [
+        ("golden", Objective.expectation()),
+        ("maxprob", Objective.winprob(0.0)),
+        ("jump", Objective.expectation()),
+        ("jump", Objective.winprob(0.0)),
+    ], ids=["golden-exp", "maxprob-win", "jump-exp", "jump-win"])
+    def test_brute_force_asks_each_context_at_most_once(self, rule, objective):
+        # 7 boxes of 4 values: 16,384 profiles, each walked through about
+        # every position by the max-prob rule in this increasing order. The
+        # jump rule breaks the promise it declares, so only the whole context
+        # (position, value, prefix max, remaining set) keys its answers.
+        inst = many_state_instance(7, 7)
+        order = Order.identity(7)
+        rules = {
+            "golden": lambda: GoldenPolicy(inst),
+            "maxprob": lambda: MaxProbPolicy(inst),
+            "jump": lambda: FunctionPolicy(
+                lambda ctx: ctx.current_value >= ctx.prefix_max + 3.0, kind="jump", splits_on_new_max=True
+            ),
+        }
+        want = per_context_enumeration(inst, order, rules[rule](), objective)
+        pol = rules[rule]()
+        decide = pol.decide
+        asked = collections.Counter()
+
+        def counting(ctx):
+            asked[ctx] += 1
+            return decide(ctx)
+
+        pol.decide = counting
+        got = brute_force(inst, order, pol, objective).value
+        assert got.hex() == want.hex()
+        assert asked and max(asked.values()) == 1
+
     def test_brute_force_cap(self, monkeypatch):
         inst = Instance.from_supports([[(0.0, 0.5), (1.0, 0.5)]] * 3)
         monkeypatch.setattr(evaluation, "PROFILE_CAP", 7)
