@@ -10,6 +10,7 @@ instance generators), and ``cli`` (the command-line harness).
 from types import ModuleType as _ModuleType
 
 from .core import (
+    CapExceededError,
     DiscreteDistribution,
     Instance,
     Order,
@@ -23,7 +24,6 @@ from .core import (
     validate_order,
 )
 from .evaluation import (
-    CapExceededError,
     EvalResult,
     Objective,
     OrderRatio,

@@ -17,6 +17,7 @@ from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .core import (
+    CapExceededError,
     Order,
     ValidationError,
     load_instance,
@@ -27,7 +28,6 @@ from .core import (
 )
 from .evaluation import (
     DEFAULT_PERM_CAP,
-    CapExceededError,
     Objective,
     eval_exact,
     monte_carlo,

@@ -22,6 +22,10 @@ class ValidationError(ValueError):
     """An instance, order, or distribution violates its invariants."""
 
 
+class CapExceededError(RuntimeError):
+    """A configured resource cap would be exceeded; pick a cheaper route."""
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Finitely supported law of a single box's value.

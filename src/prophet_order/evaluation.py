@@ -18,11 +18,19 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import DiscreteDistribution, Instance, Order, ValidationError, validate_instance, validate_order
+from .core import (
+    CapExceededError,
+    DiscreteDistribution,
+    Instance,
+    Order,
+    ValidationError,
+    validate_instance,
+    validate_order,
+)
 from .policies import (
     DecisionContext,
     GoldenPolicy,
@@ -37,10 +45,6 @@ from .thresholds import carry_win_factors, win_factor
 STATE_CAP = 1_000_000
 PROFILE_CAP = 1_000_000
 DEFAULT_PERM_CAP = 8
-
-
-class CapExceededError(RuntimeError):
-    """A configured resource cap would be exceeded; pick a cheaper route."""
 
 
 @dataclass(frozen=True)
@@ -104,8 +108,8 @@ class EvalResult:
 def _check_inputs(instance: Instance, order: Order, policy: Policy, objective: Objective) -> None:
     """Validate what every route reads, then prepare ``policy`` for ``order``.
 
-    A rule built for another instance or order, or with a floor (``baseline``)
-    above the objective's baseline, is refused with :class:`ValidationError`.
+    A rule built for another instance or order is refused with
+    :class:`ValidationError`; the baseline is the objective's alone.
     A :class:`GoldenPolicy` computes its thresholds from the back of the order
     (:meth:`GoldenPolicy.warm`), so each route reads the same tau for a set
     whichever route runs first on a fresh rule.
@@ -118,13 +122,6 @@ def _check_inputs(instance: Instance, order: Order, policy: Policy, objective: O
         built = getattr(policy, name, given)
         if built is not given and built != given:
             raise ValidationError(f"the {policy.kind} policy was built for another {name}")
-    # A floor above the objective's baseline refuses values the objective
-    # still rewards; one below it is never read, as every prefix max is >= it.
-    if getattr(policy, "baseline", objective.baseline) > objective.baseline:
-        raise ValidationError(
-            f"the {policy.kind} policy was built for another baseline "
-            f"({policy.baseline!r} > {objective.baseline!r})"
-        )
     if isinstance(policy, GoldenPolicy):
         policy.warm(order)
 
@@ -280,11 +277,11 @@ def _payoffs(
     The remaining set at a position is the same in every profile, so the rule
     is asked once per distinct decision: per whole context (position, value,
     prefix max), or with ``trusted`` per what its flags promise to read
-    (:class:`Policy`).
+    (:class:`Policy`); a position's remaining set is built on its first miss.
     """
     seq = order.sequence
     n = len(seq)
-    rem = [frozenset(seq[pos:]) for pos in range(1, n + 1)]
+    rem: dict[int, frozenset[int]] = {}
     decide = policy.decide
     winprob = objective.is_winprob
     fresh_only = trusted and not policy.uses_prefix_max
@@ -304,7 +301,9 @@ def _payoffs(
                 key = (pos, v, prefix)
             accept = memo.get(key)
             if accept is None:
-                accept = memo[key] = decide(DecisionContext(pos, v, prefix, rem[pos - 1]))
+                if pos not in rem:
+                    rem[pos] = frozenset(seq[pos:])
+                accept = memo[key] = decide(DecisionContext(pos, v, prefix, rem[pos]))
             if accept:
                 if not winprob:
                     payoff = v
@@ -414,10 +413,10 @@ def order_ratio_sweep(
     the given order. ``policy`` is reused unchanged and evaluated on every
     order by :func:`eval_exact` first, which validates each order. The optimum
     is the start value of the benchmark's own backward induction
-    (:class:`OptExpectationPolicy` or :class:`OptMaxProbPolicy` at the
-    objective's baseline), bit for bit, computed once per suffix the orders
-    share. Orders where the optimum is 0 are recorded with ratio 1 and flagged
-    degenerate instead of being dropped. An empty ``orders``, or a
+    (``OptExpectationPolicy.value``, or ``OptMaxProbPolicy.win_probability``
+    at the objective's baseline), bit for bit, computed once per suffix the
+    orders share. Orders where the optimum is 0 are recorded with ratio 1
+    and flagged degenerate instead of being dropped. An empty ``orders``, or a
     ``perm_cap`` below 1 when the sweep covers every permutation, raises
     :class:`ValidationError`; the cap is not read when ``orders`` is given.
     """
@@ -451,16 +450,17 @@ def _optima(instance: Instance, orders: Sequence[Order], objective: Objective) -
 
     Under win probability the state after the last d boxes also holds their
     reach: the grid indices of the prefix maxima that can occur before them,
-    i.e. the baseline and every value above it of the other boxes. Each row
-    is summed only there (see :func:`_maxprob_row`), which leaves the start
-    entry, at the baseline, bit for bit as a full build has it.
+    i.e. the baseline (at ``floor``, the grid point at or below it) and every
+    value above it of the other boxes. Each row is summed only there (see
+    :func:`_maxprob_row`), which leaves the start entry bit for bit as a
+    full build has it.
     """
     n = instance.n
     winprob = objective.is_winprob
     start = 0.0
     if winprob:
-        grid, index = _maxprob_grid(instance, objective.baseline)
-        floor = index[objective.baseline]
+        grid, index = _maxprob_grid(instance)
+        floor = bisect_right(grid, objective.baseline) - 1
         start = ([0.0] * len(grid), 0, [1.0] * len(grid), list(range(floor, len(grid))))
     rank = sorted(range(len(orders)), key=lambda k: orders[k].sequence[::-1])
     opts = [0.0] * len(orders)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DiscreteDistribution, Instance, Order
-from .evaluation import CapExceededError
+from .core import CapExceededError, DiscreteDistribution, Instance, Order
 from .thresholds import LAMBDA, LN_INV_LAMBDA, PHI
 
 # golden_lb builds about (phi - 1) / step deterministic boxes and as many
@@ -24,9 +23,10 @@ GOLDEN_LB_MAX_BOXES = 1000
 # single_threshold_family builds n boxes of about 0.6 KB; at this count the
 # family and its exact win probability take about a second and 80 MB.
 SINGLE_THRESHOLD_MAX_BOXES = 100_000
-# maxprob_lb's 1e-12 check refuses an n only after nudging q over n-fold
-# products; this cap refuses a far larger n before that work.
-MAXPROB_LB_MAX_BOXES = 100_000
+# maxprob_lb lands P[every rare box is 0] within 1e-12 of lambda at every n
+# up to this one and first misses at the next; above it, it misses some n and
+# not others, so only a cap refuses n predictably.
+MAXPROB_LB_MAX_BOXES = 20_299
 
 
 @dataclass(frozen=True)
@@ -130,20 +130,23 @@ def maxprob_lb(n: int) -> FamilyInstance:
     P[all rare boxes stay at 0] lands exactly on lambda in float arithmetic
     (the construction sits on the accept boundary of the max-probability rule,
     so eps is nudged by ulps until ``win_factor``'s product is >= lambda). An
-    n so large that one ulp of q moves that product by more than 1e-12 raises
-    ``ValueError``; an n above the cap raises :class:`CapExceededError` first.
+    n above ``MAXPROB_LB_MAX_BOXES`` raises :class:`CapExceededError` before
+    any work: past it one ulp of 1 - eps can move that product by more than
+    1e-12 off lambda. Every n up to the cap lands within 1e-12, as asserted.
     Canonical orders run the rare boxes decreasing (the hard order) and
     increasing after the deterministic box.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if n > MAXPROB_LB_MAX_BOXES:
-        raise CapExceededError(f"n={n} exceeds the max-prob family's cap of {MAXPROB_LB_MAX_BOXES} boxes")
+        raise CapExceededError(
+            f"n={n} exceeds the max-prob family's cap of {MAXPROB_LB_MAX_BOXES} boxes: above it "
+            "floats cannot always land P[every rare box is 0] within 1e-12 of lambda"
+        )
     q = LAMBDA ** (1.0 / n)
     while math.prod([q] * n) < LAMBDA:
         q = math.nextafter(q, 1.0)
-    if abs(math.prod([q] * n) - LAMBDA) > 1e-12:
-        raise ValueError(f"n={n} is too large: P[every rare box is 0] cannot land within 1e-12 of lambda")
+    assert abs(math.prod([q] * n) - LAMBDA) <= 1e-12, n
     eps = 1.0 - q
     # As in single_threshold_family: check and sum the rare law once and
     # move it to each value.

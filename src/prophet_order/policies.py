@@ -21,7 +21,7 @@ rejected.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Callable, NamedTuple, Sequence
 
 from .core import DiscreteDistribution, Instance, Order, ValidationError, validate_instance, validate_order
@@ -136,14 +136,11 @@ class GoldenPolicy(Policy):
 class MaxProbPolicy(Policy):
     """Accept a new running maximum once the future stays below it w.p. >= lambda.
 
-    The box is taken iff its value strictly exceeds the prefix maximum (and the
-    baseline) and the probability that every remaining box stays strictly below
-    it is at least lambda. Both conditions read only the remaining set, so the
-    rule is order-unaware.
-
-    ``baseline`` is a floor under the prefix maximum that the package never
-    sets; the evaluators start the prefix maximum at the objective's baseline
-    and refuse a rule whose floor lies above it.
+    The box is taken iff its value strictly exceeds the prefix maximum and the
+    probability that every remaining box stays strictly below it is at least
+    lambda. Both conditions read only the remaining set, so the rule is
+    order-unaware. The evaluators start the prefix maximum at the objective's
+    baseline; ``baseline`` is accepted only as 0.0, for positional callers.
     """
 
     kind = "maxprob"
@@ -151,10 +148,9 @@ class MaxProbPolicy(Policy):
     splits_on_new_max = True
 
     def __init__(self, instance: Instance, baseline: float = 0.0):
-        if not math.isfinite(baseline) or baseline < 0.0:
-            raise ValueError(f"baseline must be finite and >= 0, got {baseline!r}")
+        if baseline != 0.0:
+            raise ValueError(f"the rule takes no baseline ({baseline!r}): it comes from the objective")
         self.instance = instance
-        self.baseline = baseline
         self._below: dict[tuple[frozenset[int], float], float] = {}
 
     def prob_future_below(self, remaining_boxes: frozenset[int], value: float) -> float:
@@ -166,7 +162,7 @@ class MaxProbPolicy(Policy):
 
     def decide(self, ctx: DecisionContext) -> bool:
         v = ctx.current_value
-        if v <= max(ctx.prefix_max, self.baseline):
+        if v <= ctx.prefix_max:
             return False
         return self.prob_future_below(ctx.remaining_boxes, v) >= LAMBDA
 
@@ -216,28 +212,26 @@ class OptMaxProbPolicy(Policy):
     """The optimal order-aware rule for catching the maximum value.
 
     Backward induction over states (position, prefix max), the prefix max
-    ranging over the baseline and every support value. Accepting v at position
-    t wins w.p. [v > prefix_max] * P[all later boxes < v]; the rule accepts iff
-    that payoff is >= the continuation value (ties go to accept), and
-    ``win_probability`` is the value at the start state. The build keeps two
-    lists indexed by grid point: the row after the current position, and the
-    win factors P[all later boxes < v], carried back one box per position
-    (``thresholds.carry_win_factors``). Bit for bit, a row does not increase
-    in the prefix max and the payoff does not decrease in v, so the rule is
-    two thresholds per position: a new maximum v is taken iff
-    v >= ``take_from[t]``, any other value iff the prefix max is
-    >= ``dead_from[t]``, the least grid point from which positions t+1..n
+    ranging over the grid of 0 and every support value. Accepting v at
+    position t wins w.p. [v > prefix_max] * P[all later boxes < v]; the rule
+    accepts iff that payoff is >= the continuation value (ties go to accept).
+    The build keeps two lists indexed by grid point: the row after the
+    current position, and the win factors P[all later boxes < v], carried
+    back one box per position (``thresholds.carry_win_factors``). Bit for
+    bit, a row does not increase in the prefix max and the payoff does not
+    decrease in v, so the rule is two thresholds per position: a new maximum
+    v is taken iff v >= ``take_from[t]``, any other value iff the prefix max
+    is >= ``dead_from[t]``, the least grid point from which positions t+1..n
     win nothing.
 
-    ``baseline`` is the grid's floor and ``win_probability``'s start state.
-    Rules are built at 0, which decides every prefix max >= any b as one built
-    at b (its row at b is its row at the grid point below b, bit for bit).
-    The evaluators refuse a rule built above the objective's baseline.
-    ``order_ratio_sweep`` runs the build's row step, :func:`_maxprob_row`, at
-    the objective's baseline once per suffix its orders share, and sums each
-    row only at the prefix maxima its position can reach. A build sums every
-    grid point: ``decide`` snaps any prefix max to the grid, an off-grid
-    baseline's included, and the snap can land on any point.
+    No decision reads a baseline: the evaluators start the prefix max at the
+    objective's. ``baseline`` only picks ``win_probability``: the first row's
+    entry at the grid point at or below it, which is bit for bit what a grid
+    holding the baseline itself gives, as no support value lies between them.
+    ``order_ratio_sweep`` runs the row step, :func:`_maxprob_row`, once per
+    suffix its orders share, summed only at the prefix maxima its position
+    can reach. A build sums every grid point, as ``decide`` snaps any prefix
+    max down to the grid and the snap can land on any point.
 
     Requires a unique-max-valid instance (no positive value shared between two
     boxes).
@@ -254,14 +248,13 @@ class OptMaxProbPolicy(Policy):
         validate_order(instance, order)
         self.instance = instance
         self.order = order
-        self.baseline = baseline
 
         n = instance.n
         seq = order.sequence
-        grid, index = _maxprob_grid(instance, baseline)
+        grid, index = _maxprob_grid(instance)
         size = len(grid)
         self.take_from = take_from = [math.inf] * (n + 1)  # index 0 unused
-        self.dead_from = dead_from = [math.inf] * n + [grid[0]]
+        self.dead_from = dead_from = [math.inf] * n + [0.0]
         nxt, dead, below = [0.0] * size, 0, [1.0] * size  # after position n: nothing left to win
         for t in range(n, 0, -1):
             box = instance.box(seq[t - 1])
@@ -270,22 +263,21 @@ class OptMaxProbPolicy(Policy):
                 dead_from[t - 1] = grid[dead]
             if t > 1:
                 carry_win_factors(below, grid, box)
-        self.win_probability = nxt[index[baseline]]
+        self.win_probability = nxt[bisect_right(grid, baseline) - 1]
 
     def decide(self, ctx: DecisionContext) -> bool:
         v = ctx.current_value
-        theta = max(ctx.prefix_max, self.baseline)
-        if v > theta:
+        if v > ctx.prefix_max:
             return v >= self.take_from[ctx.position]
         # A value that is no new maximum wins nothing: take it iff waiting
         # wins nothing either. dead_from is a grid point, so an off-grid
         # prefix max compares as its snap down to the grid would.
-        return theta >= self.dead_from[ctx.position]
+        return ctx.prefix_max >= self.dead_from[ctx.position]
 
 
-def _maxprob_grid(instance: Instance, baseline: float) -> tuple[list[float], dict[float, int]]:
-    """The optimum's grid (the baseline and every support value, sorted) and each point's index."""
-    grid = sorted({baseline} | {v for d in instance.distributions for v in d.values})
+def _maxprob_grid(instance: Instance) -> tuple[list[float], dict[float, int]]:
+    """The optimum's grid (0 and every support value, sorted) and each point's index."""
+    grid = sorted({0.0} | {v for d in instance.distributions for v in d.values})
     return grid, {v: i for i, v in enumerate(grid)}
 
 

@@ -114,13 +114,16 @@ class TableOptMaxProbPolicy(Policy):
 
 
 def assert_decides_as_the_table(inst, order, baseline):
-    """``OptMaxProbPolicy`` agrees with the full-table reference on every
-    position, every value of the box there, and prefix maxima on the grid,
-    between grid points and above it; the win probabilities agree bit for bit."""
+    """``OptMaxProbPolicy`` built with ``baseline`` decides as the full-table
+    reference built at 0 on every position, every value of the box there, and
+    prefix maxima on the grid, between grid points and above it; at every
+    prefix max >= ``baseline`` it also decides as the reference built there,
+    and the win probabilities agree with that one bit for bit."""
     pol = OptMaxProbPolicy(inst, order, baseline)
     ref = TableOptMaxProbPolicy(inst, order, baseline)
+    zero = TableOptMaxProbPolicy(inst, order, 0.0)
     assert pol.win_probability.hex() == ref.win_probability.hex()
-    grid = sorted({baseline} | {v for d in inst.distributions for v in d.values})
+    grid = sorted({0.0, baseline} | {v for d in inst.distributions for v in d.values})
     prefixes = grid + [(a + b) / 2.0 for a, b in zip(grid, grid[1:])] + [grid[-1] + 1.0]
     seq = order.sequence
     for t in range(1, inst.n + 1):
@@ -128,7 +131,9 @@ def assert_decides_as_the_table(inst, order, baseline):
         for v in inst.box(seq[t - 1]).values:
             for prefix in prefixes:
                 c = DecisionContext(t, v, prefix, remaining)
-                assert pol.decide(c) == ref.decide(c), (t, v, prefix, baseline)
+                assert pol.decide(c) == zero.decide(c), (t, v, prefix, baseline)
+                if prefix >= baseline:
+                    assert pol.decide(c) == ref.decide(c), (t, v, prefix, baseline)
 
 
 def per_pair_threshold_winprob(instance: Instance, order: Order, threshold: float, baseline: float) -> float:

@@ -226,7 +226,7 @@ class TestEvaluate:
         )
         assert code == 0
         order = Order((0, 1))
-        expected = eval_exact(inst, order, MaxProbPolicy(inst, 0.5), Objective.winprob(0.5)).value
+        expected = eval_exact(inst, order, MaxProbPolicy(inst), Objective.winprob(0.5)).value
         assert json.loads(out)["value"] == expected == 0.5
 
     def test_unknown_policy_exits_2(self, capsys, classic2):
@@ -355,7 +355,7 @@ class TestRatio:
         inst, path = floor_pair
         code, out, _ = run(capsys, ["ratio", "-i", path, "-p", "maxprob", "--obj", "winprob:0.5"])
         assert code == 0
-        policy = MaxProbPolicy(inst, 0.5)
+        policy = MaxProbPolicy(inst)
         for row in json.loads(out)["per_order"]:
             order = Order(tuple(row["order"]))
             assert row["alg"] == eval_exact(inst, order, policy, Objective.winprob(0.5)).value
@@ -487,17 +487,24 @@ class TestReproduce:
         assert abs(data["min_ratio_minus_limit"]) <= 1e-12
         assert abs(data["accept_branch_minus_lambda"]) <= 1e-12
 
-    def test_maxprob_lb_too_large_n_exits_2(self, capsys):
+    def test_maxprob_lb_50000_exits_3(self, capsys):
+        # n = 50000 cannot land on lambda within 1e-12; the cap refuses it,
+        # and every n above it, before any work.
         code, out, err = run(capsys, ["reproduce", "maxprob-lb", "--n", "50000"])
-        assert_clean_exit_2(code, out, err)
-        assert "n=50000" in err
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: n=50000 exceeds the max-prob family's cap of 20299 boxes: ")
+        assert "1e-12" in err
 
     def test_maxprob_lb_above_the_cap_exits_3(self, capsys):
         # used to build [q] * n first and end in a MemoryError traceback
         code, out, err = run(capsys, ["reproduce", "maxprob-lb", "--n", "1000000000000"])
         assert code == 3
         assert out == ""
-        assert err == "error: n=1000000000000 exceeds the max-prob family's cap of 100000 boxes\n"
+        assert err == (
+            "error: n=1000000000000 exceeds the max-prob family's cap of 20299 boxes: above it "
+            "floats cannot always land P[every rare box is 0] within 1e-12 of lambda\n"
+        )
 
     def test_single_threshold_negative_n_exits_2(self, capsys):
         # used to print "math domain error" from the square root of n

@@ -299,3 +299,10 @@ class TestPackageExports:
         assert not [n for n in exported if isinstance(getattr(prophet_order, n), types.ModuleType)]
         assert {"core", "evaluation", "families", "policies", "thresholds"}.isdisjoint(exported)
         assert {"Instance", "ValidationError", "eval_exact", "order_ratio_sweep"} <= set(exported)
+
+    def test_cap_exceeded_error_lives_in_core(self):
+        # evaluation and the package re-export the one class, so an except
+        # clause on any of the three names catches every cap.
+        assert prophet_order.evaluation.CapExceededError is prophet_order.core.CapExceededError
+        assert prophet_order.CapExceededError is prophet_order.core.CapExceededError
+        assert "CapExceededError" in prophet_order.__all__

@@ -175,11 +175,9 @@ class TestEvalExactExamples:
         assert calls == [(400, 0.5)]
         assert abs(res.value - LAMBDA) <= 1e-12
 
-    @pytest.mark.parametrize("name", ["decreasing", "increasing"])
-    def test_maxprob_lb_builds_only_the_remaining_set_it_reaches(self, monkeypatch, name):
-        # The rule accepts the deterministic first box, so the pass stops at
-        # position 1 and needs the set of the 400 boxes after it, no other.
-        fam = maxprob_lb(400)
+    @pytest.fixture
+    def set_sizes(self, monkeypatch):
+        """The size of every set ``evaluation`` builds with ``frozenset``, in turn."""
         sizes = []
 
         def counting(ids):
@@ -188,10 +186,26 @@ class TestEvalExactExamples:
             return built
 
         monkeypatch.setattr(evaluation, "frozenset", counting, raising=False)
+        return sizes
+
+    @pytest.mark.parametrize("name", ["decreasing", "increasing"])
+    def test_maxprob_lb_builds_only_the_remaining_set_it_reaches(self, set_sizes, name):
+        # The rule accepts the deterministic first box, so the pass stops at
+        # position 1 and needs the set of the 400 boxes after it, no other.
+        fam = maxprob_lb(400)
         inst = fam.instance
         res = eval_exact(inst, fam.order(name), MaxProbPolicy(inst), Objective.winprob())
-        assert sizes == [400]
+        assert set_sizes == [400]
         assert abs(res.value - LAMBDA) <= 1e-12
+
+    def test_monte_carlo_builds_only_the_remaining_set_it_reaches(self, set_sizes):
+        # Every sample stops at the deterministic first box, so the walk asks
+        # the rule at position 1 alone and needs no other remaining set.
+        fam = maxprob_lb(400)
+        inst = fam.instance
+        res = monte_carlo(inst, fam.order("decreasing"), MaxProbPolicy(inst), Objective.winprob(), 20, 0)
+        assert set_sizes == [400]
+        assert res.samples == 20
 
     def test_threshold_winprob_pays_only_the_positions_it_reaches(self, monkeypatch):
         # A sure accept at position 1 ends the sum: no later value is paid.
@@ -824,7 +838,10 @@ class TestSweepSharesSuffixes:
 
 
 class TestPolicyBuiltForAnotherInput:
-    """A rule built for one instance, order or higher baseline misreads another; every route refuses it."""
+    """A rule built for one instance or order misreads another; every route refuses it.
+
+    A baseline is not part of what a rule is built for: it is the objective's.
+    """
 
     INST = Instance.from_supports([[(1.0, 0.5), (2.0, 0.5)], [(0.0, 0.5), (3.0, 0.5)]])
     OTHER = Instance.from_supports([[(1.5, 1.0)], [(0.0, 0.5), (4.0, 0.5)]])
@@ -850,38 +867,48 @@ class TestPolicyBuiltForAnotherInput:
         with pytest.raises(ValidationError, match="another instance"):
             order_ratio_sweep(self.INST, pol, Objective.winprob(0.0))
 
-    # The rule built at 5 refuses 6 and 7, which win at a baseline of 0: on
-    # order (0, 1, 2) the sweep returned alg 0.75 for it without a word, where
-    # the rule built at 0 gives 0.875.
+    # A max-prob rule floored at 5 refused 6 and 7, which win at a baseline
+    # of 0: on order (0, 1, 2) the sweep returned alg 0.75 for it without a
+    # word, where the rule built at 0 gives 0.875. No rule holds a floor now:
+    # the max-prob rule takes no baseline, and the optimum's picks only its
+    # own win_probability.
     FLOORED = Instance.from_supports([[(0, .5), (3, .5)], [(0, .5), (7, .5)], [(1, .5), (6, .5)]])
 
-    @pytest.mark.parametrize("route", [
-        lambda inst, order, pol, obj: eval_exact(inst, order, pol, obj),
-        lambda inst, order, pol, obj: brute_force(inst, order, pol, obj),
-        lambda inst, order, pol, obj: monte_carlo(inst, order, pol, obj, 10, 0),
-        lambda inst, order, pol, obj: order_ratio_sweep(inst, pol, obj, orders=[order]),
-    ], ids=["eval_exact", "brute_force", "monte_carlo", "order_ratio_sweep"])
-    @pytest.mark.parametrize("build", [
-        lambda inst, order, b: MaxProbPolicy(inst, b),
-        lambda inst, order, b: OptMaxProbPolicy(inst, order, b),
-    ], ids=["maxprob", "opt-maxprob"])
-    def test_every_route_rejects_a_rule_built_for_a_higher_baseline(self, route, build):
-        order = Order((0, 1, 2))
-        for objective in (Objective.winprob(0.0), Objective.winprob(4.0), Objective.expectation()):
-            with pytest.raises(ValidationError, match="built for another baseline"):
-                route(self.FLOORED, order, build(self.FLOORED, order, 5.0), objective)
+    def test_the_max_prob_rule_takes_no_baseline(self):
+        for baseline in (5.0, 1e-300, math.nan, -1.0):
+            with pytest.raises(ValueError, match="comes from the objective"):
+                MaxProbPolicy(self.FLOORED, baseline)
+        MaxProbPolicy(self.FLOORED, 0.0)  # perfbench's positional call
 
-    def test_a_rule_built_for_a_lower_baseline_is_accepted_and_exact(self):
+    @pytest.mark.parametrize("route", [
+        lambda inst, order, pol, obj: eval_exact(inst, order, pol, obj).value,
+        lambda inst, order, pol, obj: brute_force(inst, order, pol, obj).value,
+        lambda inst, order, pol, obj: monte_carlo(inst, order, pol, obj, 10, 0).value,
+        lambda inst, order, pol, obj: order_ratio_sweep(inst, pol, obj, orders=[order]).per_order[0].alg,
+    ], ids=["eval_exact", "brute_force", "monte_carlo", "order_ratio_sweep"])
+    def test_every_route_reads_an_optimum_built_at_a_higher_baseline_as_one_built_at_0(self, route):
         inst, order = self.FLOORED, Order((0, 1, 2))
-        for built, at in ((0.0, 5.0), (0.0, 3.0), (3.0, 5.0), (5.0, 5.0)):
-            objective = Objective.winprob(at)
-            for low, floored in ((MaxProbPolicy(inst, built), MaxProbPolicy(inst, at)),
-                                 (OptMaxProbPolicy(inst, order, built), OptMaxProbPolicy(inst, order, at))):
-                got = eval_exact(inst, order, low, objective).value
-                assert got.hex() == eval_exact(inst, order, floored, objective).value.hex()
-                assert got == pytest.approx(brute_force(inst, order, low, objective).value, abs=1e-12)
-        rep = order_ratio_sweep(inst, MaxProbPolicy(inst), Objective.winprob(0.0), orders=[order])
-        assert rep.per_order[0].alg == 0.875
+        high, zero = OptMaxProbPolicy(inst, order, 5.0), OptMaxProbPolicy(inst, order)
+        assert (high.win_probability, zero.win_probability) == (0.75, 0.875)
+        for objective in (Objective.winprob(0.0), Objective.winprob(4.0), Objective.expectation()):
+            got = route(inst, order, high, objective)
+            assert got.hex() == route(inst, order, zero, objective).hex(), objective
+
+    def test_the_rules_are_exact_at_every_baseline(self):
+        inst, order = self.FLOORED, Order((0, 1, 2))
+        for built in (0.0, 3.0, 5.0):
+            for at in (0.0, 3.0, 4.0, 5.0):
+                objective = Objective.winprob(at)
+                for rule in (MaxProbPolicy(inst), OptMaxProbPolicy(inst, order, built)):
+                    got = eval_exact(inst, order, rule, objective).value
+                    assert got == pytest.approx(brute_force(inst, order, rule, objective).value, abs=1e-12)
+                got = eval_exact(inst, order, OptMaxProbPolicy(inst, order, built), objective).value
+                assert got == pytest.approx(OptMaxProbPolicy(inst, order, at).win_probability, abs=1e-12)
+        for rule in (MaxProbPolicy(inst), OptMaxProbPolicy(inst, order, 5.0)):
+            for evaluate in (eval_exact, brute_force):
+                assert evaluate(inst, order, rule, Objective.winprob(0.0)).value == 0.875
+            rep = order_ratio_sweep(inst, rule, Objective.winprob(0.0), orders=[order])
+            assert rep.per_order[0].alg == 0.875
 
     def test_equal_copies_are_accepted(self):
         copy = Instance.from_supports([d.outcomes for d in self.INST.distributions])

@@ -1,3 +1,4 @@
+import ast
 import math
 
 import pytest
@@ -29,7 +30,7 @@ from prophet_order import (
     validate_order,
 )
 from prophet_order import CapExceededError, families
-from prophet_order.families import ALPHA_GRID, SINGLE_THRESHOLD_MAX_BOXES
+from prophet_order.families import ALPHA_GRID, MAXPROB_LB_MAX_BOXES, SINGLE_THRESHOLD_MAX_BOXES
 from tests.helpers import per_pair_threshold_winprob
 
 
@@ -40,6 +41,14 @@ def family_ratios(fam, policy, objective, opt_builder):
         opt = eval_exact(fam.instance, order, opt_builder(order), objective).value
         out[name] = (alg, opt, alg / opt if opt else 1.0)
     return out
+
+
+def test_families_imports_only_core_and_thresholds_of_the_package():
+    # The generators build instances; they need no evaluator or rule.
+    with open(families.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    own = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert own == {"core", "thresholds"}
 
 
 class TestExample1:
@@ -170,6 +179,18 @@ class TestMaxProbLb:
         for i, box in enumerate(boxes[1:], start=1):
             ref = DiscreteDistribution.from_pairs([(0.0, 1.0 - eps), (float(i), eps)])
             assert bits(box) == bits(ref), i
+
+    def test_the_cap_is_the_last_n_that_lands_on_lambda(self):
+        # Every n up to the cap lands P[every rare box is 0] within 1e-12 of
+        # lambda and n = cap + 1 is the first that does not. Above it some n
+        # land again (85,000 did), so only the cap makes the refusal
+        # predictable.
+        assert MAXPROB_LB_MAX_BOXES == 20_299
+        fam = maxprob_lb(MAXPROB_LB_MAX_BOXES)
+        assert abs(math.prod([1.0 - fam.parameters["eps"]] * MAXPROB_LB_MAX_BOXES) - LAMBDA) <= 1e-12
+        for n in (MAXPROB_LB_MAX_BOXES + 1, 85_000):
+            with pytest.raises(CapExceededError, match=f"n={n} exceeds .* cap of 20299 boxes: .*1e-12"):
+                maxprob_lb(n)
 
 
 def combinatorial_winprob(n, T):

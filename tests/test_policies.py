@@ -179,9 +179,13 @@ class TestMaxProbPolicy:
         assert not pol.decide(ctx(1, 1.0, prefix=1.0, remaining=()))
 
     def test_baseline_acts_as_floor(self):
+        # The evaluators start the prefix max at the objective's baseline, so
+        # a value at or below it is no new maximum and is refused.
         inst = Instance.from_supports([[(1.0, 1.0)]])
-        pol = MaxProbPolicy(inst, baseline=2.0)
-        assert not pol.decide(ctx(1, 1.0, prefix=0.0, remaining=()))
+        pol = MaxProbPolicy(inst)
+        assert not pol.decide(ctx(1, 1.0, prefix=2.0, remaining=()))
+        assert pol.decide(ctx(1, 1.0, prefix=0.0, remaining=()))
+        assert eval_exact(inst, Order((0,)), pol, Objective.winprob(2.0)).value == 0.0
 
     def test_order_does_not_change_decisions(self):
         rng = random.Random(42)

@@ -6,7 +6,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +22,6 @@ from prophet_order import (
     OptMaxProbPolicy,
     Order,
     SingleThresholdPolicy,
-    ValidationError,
     brute_force,
     eval_exact,
     make_policy,
@@ -40,6 +38,7 @@ from prophet_order.thresholds import (
 )
 from tests.helpers import (
     FunctionPolicy,
+    TableOptMaxProbPolicy,
     assert_decides_as_the_table,
     enumerate_max_law,
     per_pair_threshold_winprob,
@@ -181,10 +180,9 @@ def test_exact_equals_brute_force_on_edge_laws(case, baseline):
     }
     for threshold in threshold_probes(instance):
         policies[f"threshold:{threshold!r}"] = SingleThresholdPolicy(threshold)
+    policies["maxprob"] = MaxProbPolicy(instance)
     for objective in (Objective.expectation(), Objective.winprob(baseline)):
-        # The max-prob rules are built at the objective's baseline: a higher
-        # floor is refused (see the test below).
-        policies["maxprob"] = MaxProbPolicy(instance, objective.baseline)
+        # The optimum's baseline picks only its win_probability, not a decision.
         policies["opt-maxprob"] = OptMaxProbPolicy(instance, order, objective.baseline)
         for name, policy in policies.items():
             exact = eval_exact(instance, order, policy, objective).value
@@ -198,17 +196,13 @@ def test_split_pass_is_bit_identical_to_the_per_pair_pass_on_edge_laws(case, rul
     # The shipped max-prob rules are asked once per outcome and by bisection
     # over the states; the same decide behind a wrapper that declares nothing
     # is asked once per (state, outcome). These laws hold a few states per
-    # position; TestSplitPass in test_evaluation covers hundreds. The rule's
-    # baseline may lie below the objective's; a rule built above it is
-    # refused, while the wrapper, which declares no baseline, is not.
+    # position; TestSplitPass in test_evaluation covers hundreds. The
+    # optimum's baseline may lie above, at or below the objective's: it
+    # picks only the optimum's own win_probability.
     instance, order = case
-    for policy in (MaxProbPolicy(instance, rule_baseline), OptMaxProbPolicy(instance, order, rule_baseline)):
+    for policy in (MaxProbPolicy(instance), OptMaxProbPolicy(instance, order, rule_baseline)):
         per_pair = FunctionPolicy(policy.decide, uses_prefix_max=True)
         for objective in (Objective.expectation(), Objective.winprob(baseline)):
-            if rule_baseline > objective.baseline:
-                with pytest.raises(ValidationError, match="built for another baseline"):
-                    eval_exact(instance, order, policy, objective)
-                continue
             split = eval_exact(instance, order, policy, objective).value
             paired = eval_exact(instance, order, per_pair, objective).value
             assert split.hex() == paired.hex(), (policy.kind, objective)
@@ -218,12 +212,16 @@ def test_split_pass_is_bit_identical_to_the_per_pair_pass_on_edge_laws(case, rul
 @given(edge_cases(), st.sampled_from([0.0, 0.5, 1e6]))
 def test_max_prob_rules_built_without_the_baseline_act_as_rules_built_at_it(case, baseline):
     # make_policy builds the max-prob rules without the objective's baseline;
-    # every prefix max an evaluator shows them is >= it.
+    # every prefix max an evaluator shows them is >= it. The references are
+    # floored at it: the max-prob rule behind a wrapper that raises the prefix
+    # max to the baseline, and the optimum's full table built there.
     instance, order = case
     objective = Objective.winprob(baseline)
+    rule = MaxProbPolicy(instance)
+    floored_rule = FunctionPolicy(lambda c: rule.decide(c._replace(prefix_max=max(c.prefix_max, baseline))))
     pairs = (
-        (make_policy("maxprob", instance), MaxProbPolicy(instance, baseline)),
-        (make_policy("opt-maxprob", instance, order), OptMaxProbPolicy(instance, order, baseline)),
+        (make_policy("maxprob", instance), floored_rule),
+        (make_policy("opt-maxprob", instance, order), TableOptMaxProbPolicy(instance, order, baseline)),
     )
     grid = sorted({baseline} | {v for d in instance.distributions for v in d.values if v > baseline})
     prefixes = grid + [(a + b) / 2.0 for a, b in zip(grid, grid[1:])] + [grid[-1] + 1.0]
