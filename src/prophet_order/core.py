@@ -13,7 +13,8 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import repeat, tee
+from typing import Iterable, Iterator, Sequence
 
 PROB_SUM_TOL = 1e-9
 
@@ -127,21 +128,30 @@ class DiscreteDistribution:
         object.__setattr__(law, "cdf", tuple(table))
         return law
 
-    def _on_values(self, values: Sequence[float]) -> "DiscreteDistribution":
-        """This law's probabilities and CDF table on other ``values``, taken as given.
+    def _on_columns(self, columns: Sequence[Iterable[float]]) -> Iterator["DiscreteDistribution"]:
+        """This law's probabilities and CDF table on other values: one law per row of ``columns``.
 
-        Private to the family builders ``families.single_threshold_family``
-        and ``families.maxprob_lb``, whose ``values`` are floats, finite,
-        non-negative and strictly increasing, one per atom. The table depends
-        only on the probabilities, so the constructor would check and sum
-        again what it checked and summed for this law.
+        ``columns[k]`` yields the k-th value of each law in turn. Private to
+        the family builders ``families.single_threshold_family`` and
+        ``families.maxprob_lb``, whose rows are floats, finite, non-negative
+        and strictly increasing. The table depends only on the probabilities,
+        so every law shares this one's: the constructor would check and sum
+        again what it checked and summed for this law. Rows and their
+        (value, probability) pairs are zipped from the columns as they are
+        drawn, and no list of them is kept.
         """
-        _, probs = zip(*self.outcomes)
-        law = object.__new__(type(self))
-        object.__setattr__(law, "outcomes", tuple(zip(values, probs)))
-        object.__setattr__(law, "values", tuple(values))
-        object.__setattr__(law, "cdf", self.cdf)
-        return law
+        cls, cdf, setattr_ = type(self), self.cdf, object.__setattr__
+        rows, pairs = [], []
+        for column, p in zip(columns, self.probabilities):
+            values, paired = tee(column)
+            rows.append(values)
+            pairs.append(zip(paired, repeat(p)))
+        for values, outcomes in zip(zip(*rows), zip(*pairs)):
+            law = object.__new__(cls)
+            setattr_(law, "outcomes", outcomes)
+            setattr_(law, "values", values)
+            setattr_(law, "cdf", cdf)
+            yield law
 
     @classmethod
     def point(cls, value: float) -> "DiscreteDistribution":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .core import CapExceededError, DiscreteDistribution, Instance, Order
 from .thresholds import LAMBDA, LN_INV_LAMBDA, PHI
@@ -151,7 +152,7 @@ def maxprob_lb(n: int) -> FamilyInstance:
     # As in single_threshold_family: check and sum the rare law once and
     # move it to each value.
     rare = DiscreteDistribution.from_pairs([(0.0, q), (1.0, eps)])
-    rares = (rare,) + tuple(rare._on_values((0.0, float(i))) for i in range(2, n + 1))
+    rares = (rare,) + tuple(rare._on_columns((repeat(0.0, n - 1), map(float, range(2, n + 1)))))
     instance = Instance((DiscreteDistribution.point(0.5),) + rares)
     decreasing = Order((0,) + tuple(range(n, 0, -1)))
     increasing = Order(tuple(range(n + 1)))
@@ -185,7 +186,7 @@ def single_threshold_family(n: int, T: int) -> FamilyInstance:
     # The law from_pairs makes of (0, 1 - p), (i, p), CDF table included,
     # does not depend on i, so check and sum it once and move it to each i.
     first = DiscreteDistribution.from_pairs([(0.0, 1.0 - p), (1.0, p)])
-    boxes = (first,) + tuple(first._on_values((0.0, float(i))) for i in range(2, n + 1))
+    boxes = (first,) + tuple(first._on_columns((repeat(0.0, n - 1), map(float, range(2, n + 1)))))
     instance = Instance(boxes)
     k = (n - T) // 2
     period1 = list(range(T, T + k))

@@ -141,6 +141,11 @@ class MaxProbPolicy(Policy):
     lambda. Both conditions read only the remaining set, so the rule is
     order-unaware. The evaluators start the prefix maximum at the objective's
     baseline; ``baseline`` is accepted only as 0.0, for positional callers.
+
+    The test needs the product only until it falls below lambda: ``decide``
+    stops it there (``win_factor``'s ``stop_below``), reading the set in
+    ascending box id, and caches its yes or no per (set, value).
+    :meth:`prob_future_below` returns the full product, in the same order.
     """
 
     kind = "maxprob"
@@ -151,20 +156,21 @@ class MaxProbPolicy(Policy):
         if baseline != 0.0:
             raise ValueError(f"the rule takes no baseline ({baseline!r}): it comes from the objective")
         self.instance = instance
-        self._below: dict[tuple[frozenset[int], float], float] = {}
+        self._accepts: dict[tuple[frozenset[int], float], bool] = {}
 
     def prob_future_below(self, remaining_boxes: frozenset[int], value: float) -> float:
-        key = (remaining_boxes, value)
-        cached = self._below.get(key)
-        if cached is None:
-            cached = self._below[key] = win_factor(map(self.instance.box, sorted(remaining_boxes)), value)
-        return cached
+        return win_factor(map(self.instance.box, sorted(remaining_boxes)), value)
 
     def decide(self, ctx: DecisionContext) -> bool:
         v = ctx.current_value
         if v <= ctx.prefix_max:
             return False
-        return self.prob_future_below(ctx.remaining_boxes, v) >= LAMBDA
+        key = (ctx.remaining_boxes, v)
+        cached = self._accepts.get(key)
+        if cached is None:
+            below = win_factor(map(self.instance.box, sorted(ctx.remaining_boxes)), v, LAMBDA)
+            cached = self._accepts[key] = below >= LAMBDA
+        return cached
 
 
 def opt_expectation_thresholds(instance: Instance, order: Order) -> list[float]:

@@ -69,22 +69,49 @@ def suffix_max(dists: Iterable[DiscreteDistribution]) -> DiscreteDistribution:
     The max over no boxes is a point mass at 0: it is below every positive
     value and has expectation 0.
 
-    Each member's CDF is read off its table at every point of the merged
-    support, so a call costs O(support points x members) lookups. A member
-    may itself be a law built here: ``suffix_max((law_of_rest, box))``
-    extends a law by one box in O(support points).
+    The first member's table is taken as it stands on its own values; only
+    the E points that the later members add are looked up in it, at a cost
+    of O(V + E log V) for V values. Each later member's CDF is a step
+    function with one run per gap between its values, so it multiplies each
+    run of the merged support by one factor, and leaves the runs whose
+    factor is exactly 1.0 alone, since x * 1.0 == x. A member may itself be
+    a law built here: ``suffix_max((law_of_rest, box))`` extends a law by
+    one box in O(support points) list work and O(log) lookups per value of
+    the box.
     """
     members = tuple(dists)
     if not members:
         return DiscreteDistribution.point(0.0)
-    grid = sorted({v for m in members for v in m.values})
-    cdf = members[0].cdf_at(grid)
+    # The first member's own points take its table entries as they stand;
+    # each point a later member adds is looked up once, between the copied runs.
+    values, table = members[0].values, members[0].cdf
+    grid: list[float] = []
+    cdf: list[float] = []
+    lo = 0
+    for x in sorted({v for m in members[1:] for v in m.values}.difference(values)):
+        k = bisect_right(values, x, lo)
+        grid += values[lo:k]
+        cdf += table[lo + 1:k + 1]
+        grid.append(x)
+        cdf.append(table[k])
+        lo = k
+    grid += values[lo:]
+    cdf += table[lo + 1:]
     for m in members[1:]:
-        cdf = [c * f for c, f in zip(cdf, m.cdf_at(grid))]
+        lo = 0
+        for v, c in zip(m.values, m.cdf):
+            # grid[lo:hi] lies below v, where m's CDF is c.
+            hi = bisect_left(grid, v, lo)
+            if c != 1.0:
+                cdf[lo:hi] = [a * c for a in cdf[lo:hi]]
+            lo = hi
+        c = m.cdf[-1]
+        if c != 1.0:
+            cdf[lo:] = [a * c for a in cdf[lo:]]
     return DiscreteDistribution._from_cdf(grid, cdf)
 
 
-def win_factor(boxes: Iterable[DiscreteDistribution], value: float) -> float:
+def win_factor(boxes: Iterable[DiscreteDistribution], value: float, stop_below: float = 0.0) -> float:
     """P[every box in ``boxes`` realizes strictly below ``value``]; 1.0 for no boxes.
 
     The one per-value product of strict CDFs in the package, multiplied one
@@ -92,11 +119,22 @@ def win_factor(boxes: Iterable[DiscreteDistribution], value: float) -> float:
     bits. A call costs one lookup per box. It serves callers that learn their
     values as they go or key them by set: the state pass of ``evaluation``
     passes the boxes after its position from the last one back, and
-    ``MaxProbPolicy.prob_future_below`` passes its set in ascending box id.
-    Callers that know every value before they walk carry the product over a
-    grid with :func:`carry_win_factors` instead.
+    ``MaxProbPolicy`` passes its set in ascending box id. Callers that know
+    every value before they walk carry the product over a grid with
+    :func:`carry_win_factors` instead.
+
+    With ``stop_below`` the product returns as soon as it falls below that
+    level, with the boxes read so far. Every factor is at most 1, so a
+    rounded product never rises again: the full product is below the level
+    iff the returned one is, and a product that never falls below it is the
+    full one, bit for bit.
     """
-    return math.prod((box.prob_below(value) for box in boxes), start=1.0)
+    acc = 1.0
+    for box in boxes:
+        acc *= box.prob_below(value)
+        if acc < stop_below:
+            break
+    return acc
 
 
 def carry_win_factors(acc: list[float], grid: Sequence[float], box: DiscreteDistribution) -> None:

@@ -284,6 +284,19 @@ def random_suffix_law(rng: random.Random, max_boxes: int = 4, max_support: int =
     return suffix_max(inst.distributions)
 
 
+def suffix_max_by_lookup(dists) -> DiscreteDistribution:
+    """Oracle for ``suffix_max``: every member's CDF looked up at every point
+    of the merged support, multiplied in the order the members are given."""
+    members = tuple(dists)
+    if not members:
+        return DiscreteDistribution.point(0.0)
+    grid = sorted({v for m in members for v in m.values})
+    cdf = members[0].cdf_at(grid)
+    for m in members[1:]:
+        cdf = [c * f for c, f in zip(cdf, m.cdf_at(grid))]
+    return DiscreteDistribution._from_cdf(grid, cdf)
+
+
 def enumerate_max_law(dists):
     """Independent oracle: build the max law by enumerating all profiles."""
     acc: dict[float, float] = {}

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -25,6 +26,8 @@ from prophet_order import policies
 from tests.helpers import (
     TableOptMaxProbPolicy,
     assert_decides_as_the_table,
+    guarantee_corpus,
+    many_state_instance,
     random_instance,
     random_order,
     simulate_profile,
@@ -156,10 +159,16 @@ class TestMaxProbPolicy:
         # Bare constructor: the later box's table holds P[it < 1] as given,
         # where from_pairs would renormalize it.
         later = DiscreteDistribution(((0.0, below), (3.0, 1.0 - below)))
-        inst = Instance((DiscreteDistribution.point(1.0), later))
+        sure_below = DiscreteDistribution.point(0.25)
+        maybe_above = DiscreteDistribution(((0.0, 0.5), (2.0, 0.5)))
+        inst = Instance((DiscreteDistribution.point(1.0), later, sure_below, maybe_above))
         pol = MaxProbPolicy(inst)
         assert pol.prob_future_below(frozenset({1}), 1.0) == below
         assert pol.decide(ctx(1, 1.0, prefix=0.0, remaining={1})) == (below == LAMBDA)
+        # A product that lands on lambda is read on: a later factor of 1
+        # keeps it there, a later factor below 1 takes it under.
+        assert pol.decide(ctx(1, 1.0, prefix=0.0, remaining={1, 2})) == (below == LAMBDA)
+        assert not pol.decide(ctx(1, 1.0, prefix=0.0, remaining={1, 3}))
 
     def test_future_below_does_not_depend_on_how_the_set_was_built(self):
         # Boxes 0, 8 and 16 collide in a small frozenset's hash table, so
@@ -186,6 +195,33 @@ class TestMaxProbPolicy:
         assert not pol.decide(ctx(1, 1.0, prefix=2.0, remaining=()))
         assert pol.decide(ctx(1, 1.0, prefix=0.0, remaining=()))
         assert eval_exact(inst, Order((0,)), pol, Objective.winprob(2.0)).value == 0.0
+
+    def test_decide_is_the_full_product_against_lambda_on_the_corpus(self):
+        for inst in guarantee_corpus():
+            pol = MaxProbPolicy(inst)
+            values = sorted({v for d in inst.distributions for v in d.values if v > 0.0})
+            for size in range(inst.n + 1):
+                for remaining in map(frozenset, itertools.combinations(range(inst.n), size)):
+                    for v in values:
+                        want = pol.prob_future_below(remaining, v) >= LAMBDA
+                        # The second call reads the cached answer.
+                        for _ in range(2):
+                            assert pol.decide(ctx(1, v, remaining=remaining)) == want, (inst, remaining, v)
+
+    def test_decide_reads_boxes_only_until_the_product_is_settled(self, monkeypatch):
+        # The scale benchmark's input shape at n = 200. Reading every
+        # remaining box for each new maximum took 59,702 reads.
+        inst = many_state_instance(1, 200)
+        reads = []
+        original = DiscreteDistribution.prob_below
+
+        def counted(self, x):
+            reads.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(DiscreteDistribution, "prob_below", counted)
+        eval_exact(inst, Order.identity(inst.n), MaxProbPolicy(inst), Objective.winprob())
+        assert len(reads) <= 1500
 
     def test_order_does_not_change_decisions(self):
         rng = random.Random(42)

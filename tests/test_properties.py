@@ -43,6 +43,7 @@ from tests.helpers import (
     enumerate_max_law,
     per_pair_threshold_winprob,
     simulate_profile,
+    suffix_max_by_lookup,
     win_factor_after,
 )
 
@@ -168,6 +169,50 @@ def test_suffix_max_matches_enumeration_on_edge_laws(instance):
     assert set(law) <= set(oracle)
     for v, p in oracle.items():
         assert abs(law.get(v, 0.0) - p) <= 1e-12, v
+
+
+# Values a few boxes may share, so that a merged support dedupes them.
+SHARED_VALUES = st.sampled_from([0.0, 0.5, 3.0, 1e6])
+
+
+@st.composite
+def edge_boxes(draw) -> DiscreteDistribution:
+    """One box of at most 4 points: point masses, zeros and other values that
+    boxes share, probabilities down to 1e-9 and values up to 1e6. Its table
+    may end one ulp below 1.0."""
+    size = draw(st.integers(1, 4))
+    values = draw(st.lists(st.one_of(SHARED_VALUES, EDGE_VALUES), min_size=size, max_size=size, unique=True))
+    probs = draw(st.lists(EDGE_PROBS, min_size=size - 1, max_size=size - 1))
+    box = DiscreteDistribution.from_pairs(zip(sorted(values), probs + [1.0 - sum(probs)]))
+    if draw(st.booleans()):
+        box = table_ending_at(box, math.nextafter(1.0, 0.0)) or box
+    return box
+
+
+def law_bits(law: DiscreteDistribution) -> tuple:
+    return (
+        [v.hex() for v in law.values],
+        [c.hex() for c in law.cdf],
+        [(v.hex(), p.hex()) for v, p in law.outcomes],
+    )
+
+
+@SETTINGS
+@given(st.lists(edge_boxes(), min_size=1, max_size=12), st.data())
+def test_suffix_max_is_the_lookup_product_bit_for_bit_on_edge_laws(boxes, data):
+    # Box first: the boxes as drawn, up to 12 of them.
+    assert law_bits(suffix_max(boxes)) == law_bits(suffix_max_by_lookup(boxes))
+    # Law first: a law of some boxes extended by the others at once, and one
+    # box at a time from the back, as GoldenPolicy.warm extends its law.
+    k = data.draw(st.integers(0, len(boxes)))
+    law = suffix_max_by_lookup(boxes[:k])
+    members = [law, *boxes[k:]]
+    assert law_bits(suffix_max(members)) == law_bits(suffix_max_by_lookup(members))
+    law = suffix_max(())
+    for box in reversed(boxes):
+        want = suffix_max_by_lookup((law, box))
+        law = suffix_max((law, box))
+        assert law_bits(law) == law_bits(want)
 
 
 @SETTINGS
