@@ -51,10 +51,12 @@ from .policies import (
     DecisionContext,
     GoldenPolicy,
     MaxProbPolicy,
+    NewMaxRule,
     OptExpectationPolicy,
     OptMaxProbPolicy,
     Policy,
     SingleThresholdPolicy,
+    ThresholdRule,
     make_policy,
     opt_expectation_thresholds,
 )

@@ -34,8 +34,10 @@ from .core import (
 from .policies import (
     DecisionContext,
     GoldenPolicy,
+    NewMaxRule,
     Policy,
     SingleThresholdPolicy,
+    ThresholdRule,
     _maxprob_grid,
     _maxprob_row,
     _step_back,
@@ -136,15 +138,15 @@ def eval_exact(instance: Instance, order: Order, policy: Policy, objective: Obje
     One forward pass over states (position, prefix max) computes every value
     but one: a fixed-threshold policy under win probability reduces to
     prefix/suffix products (everything the rule passes is strictly below its
-    threshold, hence below anything it accepts). A policy that does not read
-    the prefix max keeps a single state under expectation, and one that
-    declares ``splits_on_new_max`` is asked at most m + ceil(log2(S + 1))
-    times at a position of m outcomes and S states, not once per pair. The
-    pass counts the states it holds beyond one per position, summed over
-    positions, and raises :class:`CapExceededError` once that count exceeds
-    ``STATE_CAP``; use :func:`monte_carlo` on such inputs. A
-    :class:`GoldenPolicy` arrives warmed for the order by the shared input
-    check, so the pass finds its thresholds cached.
+    threshold, hence below anything it accepts). A :class:`ThresholdRule`
+    keeps a single state under expectation. A :class:`NewMaxRule` is asked
+    once per outcome and for one cut per position, never ``decide``; any
+    other rule once per (state, outcome) pair. The pass counts the states it
+    holds beyond one per position, summed over positions, and raises
+    :class:`CapExceededError` once that count exceeds ``STATE_CAP``; use
+    :func:`monte_carlo` on such inputs. A :class:`GoldenPolicy` arrives
+    warmed for the order by the shared input check, so the pass finds its
+    thresholds cached.
     """
     _check_inputs(instance, order, policy, objective)
     if isinstance(policy, SingleThresholdPolicy) and objective.is_winprob:
@@ -199,14 +201,14 @@ def _state_dp(instance: Instance, order: Order, policy: Policy, objective: Objec
 
     It builds a position's remaining set on reaching it, and pays an accepted
     new maximum v the :func:`win_factor` of the later boxes, the last first.
-    A rule that splits on a new maximum answers a value that is no new maximum
-    from the least state that accepts one, found by bisection over the sorted
-    states. Every sum runs as in the pass that asks once per pair, so the
-    value is bit-identical to it.
+    A :class:`NewMaxRule` answers each pair from its answers per outcome and
+    its cut, as its derived ``decide`` would, and every sum runs as in the
+    pass that asks once per pair, so the value is bit-identical to it.
     """
     n = instance.n
     winprob = objective.is_winprob
-    tracked = winprob or policy.uses_prefix_max
+    tracked = winprob or not isinstance(policy, ThresholdRule)
+    split = isinstance(policy, NewMaxRule)
     seq = order.sequence
     decide = policy.decide
     theta0 = objective.baseline
@@ -216,24 +218,11 @@ def _state_dp(instance: Instance, order: Order, policy: Policy, objective: Objec
     for pos in range(1, n + 1):
         outcomes = instance.box(seq[pos - 1]).outcomes
         remaining = frozenset(seq[pos:])
-        # A rule that splits on a new maximum is asked once per outcome and
-        # ceil(log2(held + 1)) times wherever that is fewer calls than once
-        # per pair. Every state is >= theta0, so a new maximum over any state
-        # is decided as over theta0. Any other value is decided as the state
-        # itself, and the states that accept it are those >= `cut`.
-        held = len(states)
-        split = policy.splits_on_new_max and held + len(outcomes) < held * len(outcomes)
+        # Every state is >= theta0, so a value that is a new maximum over any
+        # state is one over theta0.
         if split:
-            fresh = {v: decide(DecisionContext(pos, v, theta0, remaining)) for v, _ in outcomes if v > theta0}
-            ordered = sorted(states)
-            lo, hi = 0, held
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if decide(DecisionContext(pos, ordered[mid], ordered[mid], remaining)):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            cut = ordered[lo] if lo < held else math.inf
+            fresh = {v: policy.takes_new_max(pos, v, remaining) for v, _ in outcomes if v > theta0}
+            cut = policy.old_max_cut(pos, remaining)
         factors: dict[float, float] = {}  # P[all later boxes < v], per accepted v
         nxt: dict[float, float] = {}
         for theta, mass in states.items():
@@ -276,16 +265,17 @@ def _payoffs(
 
     The remaining set at a position is the same in every profile, so the rule
     is asked once per distinct decision: per whole context (position, value,
-    prefix max), or with ``trusted`` per what its flags promise to read
-    (:class:`Policy`); a position's remaining set is built on its first miss.
+    prefix max), or with ``trusted`` per what its type reads (see
+    :class:`ThresholdRule` and :class:`NewMaxRule`); a position's remaining
+    set is built on its first miss.
     """
     seq = order.sequence
     n = len(seq)
     rem: dict[int, frozenset[int]] = {}
     decide = policy.decide
     winprob = objective.is_winprob
-    fresh_only = trusted and not policy.uses_prefix_max
-    split = trusted and policy.splits_on_new_max
+    fresh_only = trusted and isinstance(policy, ThresholdRule)
+    split = trusted and isinstance(policy, NewMaxRule)
     memo: dict[tuple, bool] = {}
     for values in profiles:
         payoff = 0.0
@@ -319,7 +309,7 @@ def brute_force(instance: Instance, order: Order, policy: Policy, objective: Obj
     """Enumerate every value profile with its probability and simulate the policy.
 
     Independent of :func:`eval_exact`; serves as its oracle on small inputs.
-    It asks each whole context once, so it relies on no promise of the flags.
+    It reads only ``decide``, once per whole context, whatever the rule's type.
     """
     _check_inputs(instance, order, policy, objective)
     dists = instance.distributions
@@ -350,10 +340,8 @@ def monte_carlo(
     """Sampled estimate with standard error; reproducible from the seed.
 
     Each sample draws one value per box, in box-id order, and walks the
-    order, asking the rule once per distinct decision in a call, keyed by
-    what its flags promise (see :class:`Policy`). Unlike the exact pass it
-    does not rely on a split rule's answer on old maxima being monotone;
-    :func:`brute_force` relies on no promise.
+    order, asking ``decide`` once per distinct decision in a call, keyed by
+    what the rule's type reads (see :class:`Policy`).
 
     The sums run on payoffs divided by 2^(e - 1), e the ``frexp`` exponent of
     the largest payoff possible, so no square overflows; the scaling is exact.

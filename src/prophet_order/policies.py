@@ -54,33 +54,54 @@ class Policy:
 
     :meth:`decide` must be a function of its context: ``brute_force`` and
     ``monte_carlo`` ask each distinct decision once per call and reuse the
-    answer.
-
-    ``uses_prefix_max`` tells evaluators whether the decision reads
-    ``prefix_max``. A policy that sets it to ``False`` lets the exact pass
-    keep one state per position under expectation, and ``monte_carlo`` key
-    its decisions by position and value.
-
-    ``splits_on_new_max`` promises that the decision on a new maximum
-    (``current_value > prefix_max``) does not depend on ``prefix_max``, and
-    the decision on any other value does not depend on ``current_value`` and,
-    once it accepts at some ``prefix_max``, accepts at every larger one (same
-    position and remaining set). The exact pass then asks once per outcome
-    and about log2 of the prefix maxima it holds, by bisection, instead of
-    once per pair; ``monte_carlo`` keys its decisions by the first two
-    clauses. A rule that breaks the promise is evaluated wrongly.
-    ``brute_force`` relies on neither promise.
+    answer. A rule that states its shape subclasses :class:`ThresholdRule` or
+    :class:`NewMaxRule` instead, whose :meth:`decide` is derived from what the
+    rule states and is not overridden; the evaluators read that shape by type.
     """
 
     kind: str = "custom"
-    uses_prefix_max: bool = True
-    splits_on_new_max: bool = False
 
     def decide(self, ctx: DecisionContext) -> bool:
         raise NotImplementedError
 
 
-class GoldenPolicy(Policy):
+class ThresholdRule(Policy):
+    """Take a value iff it meets :meth:`threshold_at` (position, remaining set).
+
+    The decision never reads ``prefix_max``, so the exact pass keeps one state
+    per position under expectation and ``monte_carlo`` keys its decisions by
+    position and value.
+    """
+
+    def threshold_at(self, position: int, remaining_boxes: frozenset[int]) -> float:
+        raise NotImplementedError
+
+    def decide(self, ctx: DecisionContext) -> bool:
+        return ctx.current_value >= self.threshold_at(ctx.position, ctx.remaining_boxes)
+
+
+class NewMaxRule(Policy):
+    """Take a new maximum iff :meth:`takes_new_max`, any other value iff the
+    prefix max is >= :meth:`old_max_cut` (never, by default).
+
+    Neither answer reads more than its arguments, so the exact pass asks once
+    per outcome and reads one cut per position, and ``monte_carlo`` keys a new
+    maximum by (position, value) and any other value by (position, prefix max).
+    """
+
+    def takes_new_max(self, position: int, value: float, remaining_boxes: frozenset[int]) -> bool:
+        raise NotImplementedError
+
+    def old_max_cut(self, position: int, remaining_boxes: frozenset[int]) -> float:
+        return math.inf
+
+    def decide(self, ctx: DecisionContext) -> bool:
+        if ctx.current_value > ctx.prefix_max:
+            return self.takes_new_max(ctx.position, ctx.current_value, ctx.remaining_boxes)
+        return ctx.prefix_max >= self.old_max_cut(ctx.position, ctx.remaining_boxes)
+
+
+class GoldenPolicy(ThresholdRule):
     """Accept the current value iff it meets tau = max(alpha, beta).
 
     Both thresholds are recomputed from the boxes still to come, so the rule
@@ -94,7 +115,6 @@ class GoldenPolicy(Policy):
     """
 
     kind = "golden"
-    uses_prefix_max = False
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -126,14 +146,11 @@ class GoldenPolicy(Policy):
             if boxes not in self._triples:
                 self._triples[boxes] = threshold_triple(law)
 
-    def tau(self, remaining_boxes: frozenset[int]) -> float:
+    def threshold_at(self, position: int, remaining_boxes: frozenset[int]) -> float:
         return self.triple(remaining_boxes).tau
 
-    def decide(self, ctx: DecisionContext) -> bool:
-        return ctx.current_value >= self.tau(ctx.remaining_boxes)
 
-
-class MaxProbPolicy(Policy):
+class MaxProbPolicy(NewMaxRule):
     """Accept a new running maximum once the future stays below it w.p. >= lambda.
 
     The box is taken iff its value strictly exceeds the prefix maximum and the
@@ -142,15 +159,13 @@ class MaxProbPolicy(Policy):
     order-unaware. The evaluators start the prefix maximum at the objective's
     baseline; ``baseline`` is accepted only as 0.0, for positional callers.
 
-    The test needs the product only until it falls below lambda: ``decide``
-    stops it there (``win_factor``'s ``stop_below``), reading the set in
-    ascending box id, and caches its yes or no per (set, value).
-    :meth:`prob_future_below` returns the full product, in the same order.
+    The test needs the product only until it falls below lambda:
+    :meth:`takes_new_max` stops it there (``win_factor``'s ``stop_below``),
+    reading the set in ascending box id, and caches its yes or no per (set,
+    value).
     """
 
     kind = "maxprob"
-    uses_prefix_max = True
-    splits_on_new_max = True
 
     def __init__(self, instance: Instance, baseline: float = 0.0):
         if baseline != 0.0:
@@ -158,17 +173,11 @@ class MaxProbPolicy(Policy):
         self.instance = instance
         self._accepts: dict[tuple[frozenset[int], float], bool] = {}
 
-    def prob_future_below(self, remaining_boxes: frozenset[int], value: float) -> float:
-        return win_factor(map(self.instance.box, sorted(remaining_boxes)), value)
-
-    def decide(self, ctx: DecisionContext) -> bool:
-        v = ctx.current_value
-        if v <= ctx.prefix_max:
-            return False
-        key = (ctx.remaining_boxes, v)
+    def takes_new_max(self, position: int, value: float, remaining_boxes: frozenset[int]) -> bool:
+        key = (remaining_boxes, value)
         cached = self._accepts.get(key)
         if cached is None:
-            below = win_factor(map(self.instance.box, sorted(ctx.remaining_boxes)), v, LAMBDA)
+            below = win_factor(map(self.instance.box, sorted(remaining_boxes)), value, LAMBDA)
             cached = self._accepts[key] = below >= LAMBDA
         return cached
 
@@ -194,7 +203,7 @@ def _step_back(box: DiscreteDistribution, cont: float) -> float:
     return math.fsum(p * (v if v >= cont else cont) for v, p in box.outcomes)
 
 
-class OptExpectationPolicy(Policy):
+class OptExpectationPolicy(ThresholdRule):
     """The optimal order-aware rule for maximizing the expected accepted value.
 
     ``value`` is the backward induction carried one step further, to the first
@@ -202,7 +211,6 @@ class OptExpectationPolicy(Policy):
     """
 
     kind = "opt-exp"
-    uses_prefix_max = False
 
     def __init__(self, instance: Instance, order: Order):
         self.instance = instance
@@ -210,11 +218,11 @@ class OptExpectationPolicy(Policy):
         self.thresholds = opt_expectation_thresholds(instance, order)
         self.value = _step_back(instance.box(order.sequence[0]), self.thresholds[0])
 
-    def decide(self, ctx: DecisionContext) -> bool:
-        return ctx.current_value >= self.thresholds[ctx.position - 1]
+    def threshold_at(self, position: int, remaining_boxes: frozenset[int]) -> float:
+        return self.thresholds[position - 1]
 
 
-class OptMaxProbPolicy(Policy):
+class OptMaxProbPolicy(NewMaxRule):
     """The optimal order-aware rule for catching the maximum value.
 
     Backward induction over states (position, prefix max), the prefix max
@@ -227,8 +235,8 @@ class OptMaxProbPolicy(Policy):
     bit, a row does not increase in the prefix max and the payoff does not
     decrease in v, so the rule is two thresholds per position: a new maximum
     v is taken iff v >= ``take_from[t]``, any other value iff the prefix max
-    is >= ``dead_from[t]``, the least grid point from which positions t+1..n
-    win nothing.
+    is >= ``dead_from[t]`` (its :meth:`old_max_cut`), the least grid point
+    from which positions t+1..n win nothing.
 
     No decision reads a baseline: the evaluators start the prefix max at the
     objective's. ``baseline`` only picks ``win_probability``: the first row's
@@ -244,8 +252,6 @@ class OptMaxProbPolicy(Policy):
     """
 
     kind = "opt-maxprob"
-    uses_prefix_max = True
-    splits_on_new_max = True
 
     def __init__(self, instance: Instance, order: Order, baseline: float = 0.0):
         if not math.isfinite(baseline) or baseline < 0.0:
@@ -271,14 +277,14 @@ class OptMaxProbPolicy(Policy):
                 carry_win_factors(below, grid, box)
         self.win_probability = nxt[bisect_right(grid, baseline) - 1]
 
-    def decide(self, ctx: DecisionContext) -> bool:
-        v = ctx.current_value
-        if v > ctx.prefix_max:
-            return v >= self.take_from[ctx.position]
+    def takes_new_max(self, position: int, value: float, remaining_boxes: frozenset[int]) -> bool:
+        return value >= self.take_from[position]
+
+    def old_max_cut(self, position: int, remaining_boxes: frozenset[int]) -> float:
         # A value that is no new maximum wins nothing: take it iff waiting
         # wins nothing either. dead_from is a grid point, so an off-grid
         # prefix max compares as its snap down to the grid would.
-        return ctx.prefix_max >= self.dead_from[ctx.position]
+        return self.dead_from[position]
 
 
 def _maxprob_grid(instance: Instance) -> tuple[list[float], dict[float, int]]:
@@ -337,10 +343,8 @@ def _maxprob_row(grid: Sequence[float], index: dict[float, int], box: DiscreteDi
     return row, dead, take
 
 
-class SingleThresholdPolicy(Policy):
+class SingleThresholdPolicy(ThresholdRule):
     """Accept the first value >= a fixed threshold."""
-
-    uses_prefix_max = False
 
     def __init__(self, threshold: float, kind: str = "threshold"):
         if not threshold >= 0.0:
@@ -348,8 +352,8 @@ class SingleThresholdPolicy(Policy):
         self.threshold = threshold
         self.kind = kind
 
-    def decide(self, ctx: DecisionContext) -> bool:
-        return ctx.current_value >= self.threshold
+    def threshold_at(self, position: int, remaining_boxes: frozenset[int]) -> float:
+        return self.threshold
 
 
 def _needs_order(name: str, order: Order | None) -> Order:

@@ -22,6 +22,8 @@ from prophet_order import (
     DiscreteDistribution,
     GoldenPolicy,
     Instance,
+    MaxProbPolicy,
+    NewMaxRule,
     Objective,
     OptMaxProbPolicy,
     Order,
@@ -47,17 +49,35 @@ def win_factor_after(instance: Instance, order: Order, position: int, value: flo
 
 
 class FunctionPolicy(Policy):
-    """Wrap an arbitrary decision function, for custom rules in tests."""
+    """Wrap an arbitrary decision function, for custom rules in tests.
 
-    def __init__(self, fn: Callable[[DecisionContext], bool], kind: str = "custom",
-                 uses_prefix_max: bool = True, splits_on_new_max: bool = False):
+    A plain :class:`Policy`: every evaluator asks it per whole context.
+    """
+
+    def __init__(self, fn: Callable[[DecisionContext], bool], kind: str = "custom"):
         self._fn = fn
         self.kind = kind
-        self.uses_prefix_max = uses_prefix_max
-        self.splits_on_new_max = splits_on_new_max
 
     def decide(self, ctx: DecisionContext) -> bool:
         return self._fn(ctx)
+
+
+class SteppedRule(NewMaxRule):
+    """The max-prob rule on a new maximum; any other value is taken once the
+    prefix max reaches a support value that changes from position to position."""
+
+    kind = "stepped"
+
+    def __init__(self, instance: Instance):
+        grid = sorted({v for d in instance.distributions for v in d.values})
+        self.steps = [grid[(37 * t) % len(grid)] for t in range(instance.n + 1)]
+        self._maxprob = MaxProbPolicy(instance)
+
+    def takes_new_max(self, position: int, value: float, remaining_boxes: frozenset[int]) -> bool:
+        return self._maxprob.takes_new_max(position, value, remaining_boxes)
+
+    def old_max_cut(self, position: int, remaining_boxes: frozenset[int]) -> float:
+        return self.steps[position]
 
 
 class TableOptMaxProbPolicy(Policy):
@@ -71,7 +91,6 @@ class TableOptMaxProbPolicy(Policy):
     """
 
     kind = "opt-maxprob-table"
-    uses_prefix_max = True
 
     def __init__(self, instance: Instance, order: Order, baseline: float = 0.0):
         validate_instance(instance)
@@ -192,7 +211,7 @@ def per_context_monte_carlo(
 
     The same draws, scaling and sums as ``monte_carlo``, each payoff from
     ``simulate_profile``. ``monte_carlo`` must match it bit for bit on any
-    rule that keeps the promises its flags make.
+    rule whose ``decide`` is a function of its context.
     """
     evaluation._check_inputs(instance, order, policy, objective)
     rng = random.Random(seed)
@@ -214,8 +233,7 @@ def per_context_monte_carlo(
 def per_context_enumeration(instance: Instance, order: Order, policy: Policy, objective: Objective) -> float:
     """Reference for ``brute_force``: every profile's payoff from ``simulate_profile``, summed as it sums.
 
-    It asks the rule at every position of every profile, so it relies on no
-    promise a rule's flags make.
+    It asks the rule at every position of every profile, whatever its type.
     """
     evaluation._check_inputs(instance, order, policy, objective)
     total = 0.0

@@ -15,11 +15,13 @@ from prophet_order import (
     GoldenPolicy,
     Instance,
     MaxProbPolicy,
+    NewMaxRule,
     Objective,
     OptExpectationPolicy,
     OptMaxProbPolicy,
     Order,
     SingleThresholdPolicy,
+    ThresholdRule,
     ValidationError,
     brute_force,
     eval_exact,
@@ -33,6 +35,7 @@ from prophet_order import evaluation, policies
 from prophet_order.thresholds import carry_win_factors, win_factor
 from tests.helpers import (
     FunctionPolicy,
+    SteppedRule,
     continuation_audit,
     many_state_instance,
     oracle_corpus,
@@ -41,6 +44,21 @@ from tests.helpers import (
     random_instance,
     random_order,
 )
+
+
+class JumpRule(NewMaxRule):
+    """Takes a value >= the prefix max + 3. It states a new maximum's answer
+    as at prefix max 0, but overrides the ``decide`` its type derives to read
+    the prefix max, so the exact pass, which reads the stated shape, misreads
+    it."""
+
+    kind = "jump"
+
+    def takes_new_max(self, position, value, remaining_boxes):
+        return value >= 3.0
+
+    def decide(self, ctx):
+        return ctx.current_value >= ctx.prefix_max + 3.0
 
 
 def classic_two_box(eps):
@@ -303,17 +321,16 @@ class TestOracleEquivalence:
                 assert abs(a - b) <= 1e-12
 
     def test_brute_force_relies_on_no_promise_of_the_rule(self):
-        # The rule declares splits_on_new_max but reads the prefix max on a
-        # new maximum, so the exact pass misreads it; the oracle must still
-        # be the per-context enumeration bit for bit.
-        def jump(ctx):
-            return ctx.current_value >= ctx.prefix_max + 3.0
+        # The rule's decide reads the prefix max on a new maximum, against
+        # the shape its type states, so the exact pass misreads it; the
+        # oracle reads only decide and must be the per-context enumeration
+        # bit for bit.
         rng = random.Random(64)
         misread = 0
         for _ in range(30):
             inst = random_instance(rng, 5, 4)
             order = random_order(rng, inst.n)
-            pol = FunctionPolicy(jump, kind="jump", splits_on_new_max=True)
+            pol = JumpRule()
             for obj in (Objective.expectation(), Objective.winprob(0.0)):
                 b = brute_force(inst, order, pol, obj).value
                 assert b.hex() == per_context_enumeration(inst, order, pol, obj).hex(), obj
@@ -329,16 +346,15 @@ class TestOracleEquivalence:
     def test_brute_force_asks_each_context_at_most_once(self, rule, objective):
         # 7 boxes of 4 values: 16,384 profiles, each walked through about
         # every position by the max-prob rule in this increasing order. The
-        # jump rule breaks the promise it declares, so only the whole context
-        # (position, value, prefix max, remaining set) keys its answers.
+        # jump rule's decide breaks the shape its type states, so only the
+        # whole context (position, value, prefix max, remaining set) keys its
+        # answers.
         inst = many_state_instance(7, 7)
         order = Order.identity(7)
         rules = {
             "golden": lambda: GoldenPolicy(inst),
             "maxprob": lambda: MaxProbPolicy(inst),
-            "jump": lambda: FunctionPolicy(
-                lambda ctx: ctx.current_value >= ctx.prefix_max + 3.0, kind="jump", splits_on_new_max=True
-            ),
+            "jump": JumpRule,
         }
         want = per_context_enumeration(inst, order, rules[rule](), objective)
         pol = rules[rule]()
@@ -361,39 +377,24 @@ class TestOracleEquivalence:
             brute_force(inst, Order((0, 1, 2)), GoldenPolicy(inst), Objective.expectation())
 
 
-def stepped_split_rule(inst, order):
-    """A split rule whose answer on a value that is no new maximum steps from
-    no to yes at a prefix max that changes from position to position."""
-    grid = sorted({v for d in inst.distributions for v in d.values})
-    steps = [grid[(37 * t) % len(grid)] for t in range(inst.n + 1)]
-    maxprob = MaxProbPolicy(inst)
-
-    def decide(ctx):
-        if ctx.current_value > ctx.prefix_max:
-            return maxprob.decide(ctx)
-        return ctx.prefix_max >= steps[ctx.position]
-
-    return FunctionPolicy(decide, kind="stepped", splits_on_new_max=True)
-
-
 class TestSplitPass:
-    """The exact pass on a rule that declares ``splits_on_new_max``: one call
-    per outcome above the start state, and a bisection over the states for
-    the answer on a value that is no new maximum."""
+    """The exact pass on a :class:`NewMaxRule`: one ``takes_new_max`` per
+    outcome above the start state and one ``old_max_cut`` per position, bit
+    for bit the pass that asks ``decide`` once per pair."""
 
     RULES = {
         "maxprob": lambda inst, order: MaxProbPolicy(inst),
         "opt-maxprob": lambda inst, order: OptMaxProbPolicy(inst, order),
-        "stepped": stepped_split_rule,
+        "stepped": lambda inst, order: SteppedRule(inst),
     }
 
     @pytest.mark.parametrize("rule", ["maxprob", "opt-maxprob"])
     @pytest.mark.parametrize("objective", [Objective.expectation(), Objective.winprob(0.0)], ids=["exp", "win"])
-    def test_asks_once_per_fresh_outcome_and_log2_of_the_states_per_position(self, rule, objective):
+    def test_asks_once_per_fresh_outcome_and_reads_one_cut_per_position(self, rule, objective):
         inst = many_state_instance(1)
         order = Order.identity(inst.n)
         pol = self.RULES[rule](inst, order)
-        decide = pol.decide
+        decide, takes_new_max, old_max_cut = pol.decide, pol.takes_new_max, pol.old_max_cut
         # The per-pair pass asks about every state, so it lists them.
         states = collections.defaultdict(set)
 
@@ -402,25 +403,33 @@ class TestSplitPass:
             return decide(ctx)
 
         eval_exact(inst, order, FunctionPolicy(recording), objective)
-        calls = collections.Counter()
+        asked = collections.Counter()
+        cuts = collections.Counter()
 
-        def counting(ctx):
-            calls[ctx.position] += 1
-            return decide(ctx)
+        def counting_takes(position, value, remaining_boxes):
+            asked[position, value] += 1
+            return takes_new_max(position, value, remaining_boxes)
 
-        pol.decide = counting
+        def counting_cut(position, remaining_boxes):
+            cuts[position] += 1
+            return old_max_cut(position, remaining_boxes)
+
+        def refusing(ctx):
+            raise AssertionError(f"the exact pass asked decide: {ctx[:3]}")
+
+        pol.takes_new_max, pol.old_max_cut, pol.decide = counting_takes, counting_cut, refusing
         eval_exact(inst, order, pol, objective)
-        assert set(calls) == set(states)
         assert max(map(len, states.values())) >= 150
-        for pos, held in states.items():
-            fresh = sum(v > objective.baseline for v in inst.box(order.sequence[pos - 1]).values)
-            # S.bit_length() is ceil(log2(S + 1)) for S >= 1.
-            assert calls[pos] <= fresh + len(held).bit_length(), (pos, len(held))
+        assert set(cuts) == set(states) and set(cuts.values()) == {1}
+        assert set(asked.values()) == {1}
+        for pos, v in asked:
+            assert pos in states and v > objective.baseline, (pos, v)
+            assert v in inst.box(order.sequence[pos - 1]).values, (pos, v)
 
     @pytest.mark.parametrize("rule", RULES)
     def test_many_states_give_the_per_pair_pass_bit_for_bit(self, rule):
         # The edge laws of the property tests hold a few states per position;
-        # here they run to about 175, so the bisection reaches deep branches.
+        # here they run to about 175, on both sides of each position's cut.
         inst = many_state_instance(2)
         positive = sorted(v for d in inst.distributions for v in d.values if v > 0.0)
         objectives = (Objective.expectation(), Objective.winprob(0.0), Objective.winprob(positive[len(positive) // 4]))
@@ -432,14 +441,13 @@ class TestSplitPass:
                 paired = eval_exact(inst, order, per_pair, obj).value
                 assert split.hex() == paired.hex(), (order.sequence[:3], obj)
 
-    def test_only_the_exact_pass_relies_on_a_monotone_answer_on_old_maxima(self):
-        # The rule declares splits_on_new_max and decides a new maximum
-        # without the prefix max, but takes any other value only while the
-        # prefix max lies in a band: above the band its answer falls back to
-        # no, so the exact pass's bisection misreads it. Enumeration and
-        # sampling must still be their per-context loops bit for bit.
+    def test_a_plain_rule_taking_old_maxima_in_a_band_agrees_on_every_route(self):
+        # The rule decides a new maximum without the prefix max, but takes
+        # any other value only while the prefix max lies in a band: above the
+        # band its answer falls back to no, so no cut states it. As a plain
+        # Policy it takes the per-pair pass, which agrees with enumeration;
+        # enumeration and sampling are their per-context loops bit for bit.
         rng = random.Random(68)
-        misread = 0
         for k in range(30):
             inst = random_instance(rng, 5, 4)
             order = random_order(rng, inst.n)
@@ -451,15 +459,14 @@ class TestSplitPass:
                     return ctx.current_value >= take
                 return low <= ctx.prefix_max < high
 
-            pol = FunctionPolicy(band, kind="band", splits_on_new_max=True)
+            pol = FunctionPolicy(band, kind="band")
             for obj in (Objective.expectation(), Objective.winprob(0.0)):
                 b = brute_force(inst, order, pol, obj).value
                 assert b.hex() == per_context_enumeration(inst, order, pol, obj).hex(), obj
                 got = monte_carlo(inst, order, pol, obj, 200, seed=k)
                 ref = per_context_monte_carlo(inst, order, pol, obj, 200, seed=k)
                 assert (got.value.hex(), got.stderr.hex()) == (ref[0].hex(), ref[1].hex()), obj
-                misread += abs(eval_exact(inst, order, pol, obj).value - b) > 1e-12
-        assert misread
+                assert abs(eval_exact(inst, order, pol, obj).value - b) <= 1e-12, obj
 
 
 class TestRouteOrder:
@@ -481,7 +488,7 @@ class TestRouteOrder:
         exp = Objective.expectation()
         exact_first = GoldenPolicy(inst)
         eval_exact(inst, order, exact_first, exp)
-        expected = [exact_first.tau(s).hex() for s in sets]
+        expected = [exact_first.triple(s).tau.hex() for s in sets]
         routes = {
             "brute_force": lambda policy: brute_force(inst, order, policy, exp),
             "monte_carlo": lambda policy: monte_carlo(inst, order, policy, exp, 100, 0),
@@ -489,7 +496,7 @@ class TestRouteOrder:
         for name, route in routes.items():
             policy = GoldenPolicy(inst)
             route(policy)
-            assert [policy.tau(s).hex() for s in sets] == expected, name
+            assert [policy.triple(s).tau.hex() for s in sets] == expected, name
 
 
 class TestMonteCarlo:
@@ -586,9 +593,9 @@ class TestMonteCarlo:
 
         def counting(ctx):
             t, v, prefix, _ = ctx
-            if not pol.uses_prefix_max:
+            if isinstance(pol, ThresholdRule):
                 keys.append((t, v))
-            elif pol.splits_on_new_max:
+            elif isinstance(pol, NewMaxRule):
                 keys.append(("new", t, v) if v > prefix else ("old", t, prefix))
             else:
                 keys.append((t, v, prefix))
@@ -721,7 +728,7 @@ def objectives_of(instance: Instance) -> list[Objective]:
 class TestSweepSharesSuffixes:
     """The optimum of every order comes from one walk over shared suffixes."""
 
-    ACCEPT_ALL = FunctionPolicy(lambda ctx: True, uses_prefix_max=False)
+    ACCEPT_ALL = FunctionPolicy(lambda ctx: True)
 
     def assert_rows_are_the_builds(self, inst, orders, objective):
         rep = order_ratio_sweep(inst, self.ACCEPT_ALL, objective, orders=orders)

@@ -95,7 +95,7 @@ class TestGoldenLb:
         first = fam.instance.box(order.sequence[0]).outcomes[0][0]
         assert first == PHI
         remaining = frozenset(order.sequence[1:])
-        assert pol.tau(remaining) < PHI
+        assert pol.triple(remaining).tau < PHI
 
     def test_min_canonical_ratio_close_to_inverse_phi(self):
         fam = golden_lb(1e-4, 0.05)

@@ -23,6 +23,7 @@ from prophet_order import (
     opt_expectation_thresholds,
 )
 from prophet_order import policies
+from prophet_order.thresholds import win_factor
 from tests.helpers import (
     TableOptMaxProbPolicy,
     assert_decides_as_the_table,
@@ -75,7 +76,7 @@ class TestGoldenPolicy:
             ]
         )
         pol = GoldenPolicy(inst)
-        assert pol.tau(frozenset({1, 2})) == pytest.approx(1.23545, abs=1e-5)
+        assert pol.triple(frozenset({1, 2})).tau == pytest.approx(1.23545, abs=1e-5)
         assert pol.decide(ctx(1, math.sqrt(2.0), remaining={1, 2}))
 
     def test_rejects_below_point_mass_threshold(self):
@@ -87,7 +88,7 @@ class TestGoldenPolicy:
     def test_accepts_tau_and_rejects_the_float_below_it(self):
         inst = Instance.from_supports([[(1.0, 1.0)], [(0.0, 0.75), (3.0, 0.25)]])
         pol = GoldenPolicy(inst)
-        tau = pol.tau(frozenset({1}))
+        tau = pol.triple(frozenset({1})).tau
         assert pol.decide(ctx(1, tau, remaining={1}))
         assert not pol.decide(ctx(1, math.nextafter(tau, 0.0), remaining={1}))
 
@@ -151,7 +152,7 @@ class TestMaxProbPolicy:
     def test_rejects_when_future_likely_exceeds(self):
         inst = Instance.from_supports([[(1.0, 1.0)], [(0.0, 0.1), (3.0, 0.9)]])
         pol = MaxProbPolicy(inst)
-        assert pol.prob_future_below(frozenset({1}), 1.0) == pytest.approx(0.1)
+        assert win_factor(map(inst.box, sorted({1})), 1.0) == pytest.approx(0.1)
         assert not pol.decide(ctx(1, 1.0, prefix=0.0, remaining={1}))
 
     @pytest.mark.parametrize("below", [LAMBDA, math.nextafter(LAMBDA, 0.0)])
@@ -163,7 +164,7 @@ class TestMaxProbPolicy:
         maybe_above = DiscreteDistribution(((0.0, 0.5), (2.0, 0.5)))
         inst = Instance((DiscreteDistribution.point(1.0), later, sure_below, maybe_above))
         pol = MaxProbPolicy(inst)
-        assert pol.prob_future_below(frozenset({1}), 1.0) == below
+        assert win_factor(map(inst.box, sorted({1})), 1.0) == below
         assert pol.decide(ctx(1, 1.0, prefix=0.0, remaining={1})) == (below == LAMBDA)
         # A product that lands on lambda is read on: a later factor of 1
         # keeps it there, a later factor below 1 takes it under.
@@ -179,8 +180,9 @@ class TestMaxProbPolicy:
         )
         ascending = below[0] * below[8] * below[16]
         for built in ((0, 8, 16), (16, 8, 0)):
-            got = MaxProbPolicy(inst).prob_future_below(frozenset(built), 5.0)
+            got = win_factor(map(inst.box, sorted(frozenset(built))), 5.0)
             assert got.hex() == ascending.hex(), built
+            assert MaxProbPolicy(inst).takes_new_max(1, 5.0, frozenset(built)) == (ascending >= LAMBDA), built
 
     def test_rejects_value_not_above_prefix(self):
         inst = Instance.from_supports([[(1.0, 1.0)], [(2.0, 1.0)]])
@@ -203,7 +205,7 @@ class TestMaxProbPolicy:
             for size in range(inst.n + 1):
                 for remaining in map(frozenset, itertools.combinations(range(inst.n), size)):
                     for v in values:
-                        want = pol.prob_future_below(remaining, v) >= LAMBDA
+                        want = win_factor(map(inst.box, sorted(remaining)), v) >= LAMBDA
                         # The second call reads the cached answer.
                         for _ in range(2):
                             assert pol.decide(ctx(1, v, remaining=remaining)) == want, (inst, remaining, v)
@@ -448,12 +450,12 @@ class TestSingleWitnessEvents:
                 continue
             theta1 = rng.choice(positives)
             pol = MaxProbPolicy(inst, baseline=0.0)
-            if pol.prob_future_below(frozenset(seq[1:]), theta1) >= LAMBDA:
+            if win_factor(map(inst.box, sorted(seq[1:])), theta1) >= LAMBDA:
                 continue  # the rule would already stop at the first box
             t = next(
                 pos
                 for pos in range(2, inst.n + 1)
-                if pol.prob_future_below(frozenset(seq[pos:]), theta1) >= LAMBDA
+                if win_factor(map(inst.box, sorted(seq[pos:])), theta1) >= LAMBDA
             )
             for s in range(t, inst.n + 1):
                 witness_vals = [v for v in inst.box(seq[s - 1]).values if v > theta1]

@@ -22,6 +22,7 @@ from prophet_order import (
     OptMaxProbPolicy,
     Order,
     SingleThresholdPolicy,
+    ThresholdRule,
     brute_force,
     eval_exact,
     make_policy,
@@ -38,6 +39,7 @@ from prophet_order.thresholds import (
 )
 from tests.helpers import (
     FunctionPolicy,
+    SteppedRule,
     TableOptMaxProbPolicy,
     assert_decides_as_the_table,
     enumerate_max_law,
@@ -75,7 +77,7 @@ def unique_max_instances(draw) -> Instance:
 def test_sweep_opt_is_the_exact_value_of_the_benchmark(instance, baseline):
     # order_ratio_sweep reads the optimum off the benchmark's own backward
     # induction; evaluating the benchmark policy forward must give the same value.
-    policy = FunctionPolicy(lambda ctx: True, uses_prefix_max=False)
+    policy = FunctionPolicy(lambda ctx: True)
     for objective in (Objective.expectation(), Objective.winprob(baseline)):
         report = order_ratio_sweep(instance, policy, objective)
         for row in report.per_order:
@@ -235,18 +237,46 @@ def test_exact_equals_brute_force_on_edge_laws(case, baseline):
             assert abs(exact - brute) <= 1e-12 * max(1.0, abs(exact)), (name, objective)
 
 
+class PositionalThreshold(ThresholdRule):
+    """A threshold that moves with position over :func:`threshold_probes`."""
+
+    kind = "positional"
+
+    def __init__(self, instance: Instance):
+        self.probes = threshold_probes(instance)
+
+    def threshold_at(self, position: int, remaining_boxes: frozenset[int]) -> float:
+        return self.probes[position % len(self.probes)]
+
+
+@SETTINGS
+@given(edge_cases())
+def test_custom_shape_rules_match_brute_force_on_edge_laws(case):
+    # The exact pass reads the shape each rule states by type: one threshold
+    # per position, or SteppedRule's answer per new maximum and its cut per
+    # position. brute_force reads only the decide each type derives.
+    instance, order = case
+    values = sorted({v for d in instance.distributions for v in d.values})
+    objectives = (Objective.expectation(), Objective.winprob(0.0), Objective.winprob(values[len(values) // 2]))
+    for policy in (PositionalThreshold(instance), SteppedRule(instance)):
+        for objective in objectives:
+            exact = eval_exact(instance, order, policy, objective).value
+            brute = brute_force(instance, order, policy, objective).value
+            assert abs(exact - brute) <= 1e-12 * max(1.0, abs(exact)), (policy.kind, objective)
+
+
 @SETTINGS
 @given(edge_cases(), st.sampled_from([0.0, 0.5, 1e6]), st.sampled_from([0.0, 0.5, 1e6]))
 def test_split_pass_is_bit_identical_to_the_per_pair_pass_on_edge_laws(case, rule_baseline, baseline):
-    # The shipped max-prob rules are asked once per outcome and by bisection
-    # over the states; the same decide behind a wrapper that declares nothing
-    # is asked once per (state, outcome). These laws hold a few states per
+    # The shipped max-prob rules are asked once per outcome and for one cut
+    # per position; their derived decide behind a plain wrapper is asked once
+    # per (state, outcome). These laws hold a few states per
     # position; TestSplitPass in test_evaluation covers hundreds. The
     # optimum's baseline may lie above, at or below the objective's: it
     # picks only the optimum's own win_probability.
     instance, order = case
     for policy in (MaxProbPolicy(instance), OptMaxProbPolicy(instance, order, rule_baseline)):
-        per_pair = FunctionPolicy(policy.decide, uses_prefix_max=True)
+        per_pair = FunctionPolicy(policy.decide)
         for objective in (Objective.expectation(), Objective.winprob(baseline)):
             split = eval_exact(instance, order, policy, objective).value
             paired = eval_exact(instance, order, per_pair, objective).value
@@ -419,7 +449,7 @@ def test_golden_tau_does_not_depend_on_the_walk(case):
     eval_exact(instance, order, backward, Objective.expectation())
     forward = GoldenPolicy(instance)
     for remaining in suffixes:
-        forward.tau(remaining)
+        forward.triple(remaining).tau
     swept = GoldenPolicy(instance)
     order_ratio_sweep(instance, swept, Objective.expectation())
     proper_subsets = [
@@ -428,7 +458,7 @@ def test_golden_tau_does_not_depend_on_the_walk(case):
     for policy, reached in ((backward, suffixes), (forward, suffixes), (swept, proper_subsets)):
         for remaining in reached:
             ref = threshold_triple(suffix_max(instance.box(b) for b in sorted(remaining))).tau
-            assert abs(policy.tau(remaining) - ref) <= 1e-12 * abs(ref), sorted(remaining)
+            assert abs(policy.triple(remaining).tau - ref) <= 1e-12 * abs(ref), sorted(remaining)
 
 
 MC_SAMPLES = 2000
