@@ -60,10 +60,16 @@ COMMANDS = [
         for obj in OBJECTIVES
     ),
     "evaluate -i INSTANCE -o 2,0,1 -p opt-maxprob --obj winprob:4.5 --format csv",
+    *(
+        f"evaluate -i INSTANCE -o 0,1,2 -p {spec} --obj {obj}"
+        for spec in ("golden", "opt-exp")
+        for obj in OBJECTIVES
+    ),
     *(f"ratio -i INSTANCE -p maxprob --obj {obj}" for obj in OBJECTIVES),
     "ratio -i INSTANCE -p maxprob --obj winprob:4.5 --format csv",
     "ratio -i INSTANCE -p golden --obj expectation",
     "ratio -i INSTANCE -p golden --obj expectation --format csv",
+    "ratio -i INSTANCE -p golden --obj winprob",
 ]
 
 
