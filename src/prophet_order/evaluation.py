@@ -36,7 +36,6 @@ from .policies import (
     GoldenPolicy,
     NewMaxRule,
     Policy,
-    SingleThresholdPolicy,
     ThresholdRule,
     _maxprob_grid,
     _maxprob_row,
@@ -135,52 +134,56 @@ def _clamp_prob(x: float) -> float:
 def eval_exact(instance: Instance, order: Order, policy: Policy, objective: Objective) -> EvalResult:
     """Exact performance of ``policy`` on ``order``, no sampling involved.
 
-    One forward pass over states (position, prefix max) computes every value
-    but one: a fixed-threshold policy under win probability reduces to
-    prefix/suffix products (everything the rule passes is strictly below its
-    threshold, hence below anything it accepts). A :class:`ThresholdRule`
-    keeps a single state under expectation. A :class:`NewMaxRule` is asked
-    once per outcome and for one cut per position, never ``decide``; any
-    other rule once per (state, outcome) pair. The pass counts the states it
-    holds beyond one per position, summed over positions, and raises
-    :class:`CapExceededError` once that count exceeds ``STATE_CAP``; use
+    A :class:`ThresholdRule` under win probability is read off its thresholds
+    along the order (:func:`_threshold_winprob`). Every other value comes from
+    one forward pass over states (position, prefix max), where a
+    :class:`ThresholdRule` keeps a single state, a :class:`NewMaxRule` is
+    asked once per outcome and for one cut per position, never ``decide``,
+    and any other rule once per (state, outcome) pair. The pass raises
+    :class:`CapExceededError` once the states it holds beyond one per
+    position, summed over positions, exceed ``STATE_CAP``; use
     :func:`monte_carlo` on such inputs. A :class:`GoldenPolicy` arrives
-    warmed for the order by the shared input check, so the pass finds its
-    thresholds cached.
+    warmed for the order by the shared input check.
     """
     _check_inputs(instance, order, policy, objective)
-    if isinstance(policy, SingleThresholdPolicy) and objective.is_winprob:
-        value = _threshold_winprob(instance, order, policy.threshold, objective.baseline)
+    if objective.is_winprob and isinstance(policy, ThresholdRule):
+        value = _threshold_winprob(instance, order, policy.thresholds_along(order), objective.baseline)
         return EvalResult(_clamp_prob(value), "exact-dp")
     return _state_dp(instance, order, policy, objective)
 
 
-def _threshold_winprob(instance: Instance, order: Order, threshold: float, baseline: float) -> float:
-    """Win probability of a fixed threshold, by one walk forward and one back.
+def _threshold_winprob(instance: Instance, order: Order, thresholds: Iterable[float], baseline: float) -> float:
+    """Win probability of taking v at position t iff v >= tau_t, the t-th of ``thresholds``.
 
-    Forward to the first box that leaves no mass: each position holding a
-    winnable value, with the mass of passing the boxes before it. Back from
-    the last box to the first such position: P[every later box < v] carried
-    over the sorted winnable values, read at a position before its box.
+    A NaN tau reads as +inf, as ``decide`` takes no value at it. Forward to
+    the first box that leaves no mass: each winnable value v (v >= tau_t and
+    v > baseline) with the mass of reaching t below v, the product over s < t
+    of P[y_s < min(v, tau_s)]: the running pass mass where v meets every
+    earlier tau, else a product taken first to last. Back from the last box to
+    the first such position: P[every later box < v] carried over the sorted
+    winnable values, read at a position before its box.
     """
-
-    def winnable(v: float) -> bool:
-        return v >= threshold and v > baseline
-
     seq = order.sequence
-    # A box's values ascend, so its largest tells whether it holds a winnable one.
-    reached: dict[int, tuple[float, list[tuple[float, float]]]] = {}
+    reached: dict[int, list[tuple[float, float, float]]] = {}  # t -> (v, p, mass) per winnable v
+    taus: list[float] = []
+    top = -math.inf  # the largest tau before the position
     pass_mass = 1.0
-    for t, bid in enumerate(seq, start=1):
+    for t, (bid, tau) in enumerate(zip(seq, thresholds), start=1):
+        tau = math.inf if tau != tau else tau
         box = instance.box(bid)
-        if winnable(box.values[-1]):
-            reached[t] = (pass_mass, [(v, p) for v, p in box.outcomes if winnable(v)])
-        pass_mass *= box.prob_below(threshold)
+        # A box's values ascend, so its largest tells whether it holds a winnable one.
+        if box.values[-1] >= tau and box.values[-1] > baseline:
+            reached[t] = [(v, p, pass_mass if v >= top else math.prod(
+                instance.box(b).prob_below(min(v, s)) for b, s in zip(seq, taus)
+            )) for v, p in box.outcomes if v >= tau and v > baseline]
+        pass_mass *= box.prob_below(tau)
         if pass_mass == 0.0:
             break
+        taus.append(tau)
+        top = tau if tau > top else top
     # A winnable value is positive, and validate_instance makes a positive
     # value unique to its box, so each grid value is read at one position.
-    grid = sorted(v for _, pairs in reached.values() for v, _ in pairs)
+    grid = sorted(v for triples in reached.values() for v, _, _ in triples)
     acc = [1.0] * len(grid)
     win: dict[float, float] = {}
     carried = len(seq)  # acc holds the win factors at position `carried`
@@ -188,26 +191,27 @@ def _threshold_winprob(instance: Instance, order: Order, threshold: float, basel
         for bid in reversed(seq[t:carried]):
             carry_win_factors(acc, grid, instance.box(bid))
         carried = t
-        win.update((v, acc[bisect_left(grid, v)]) for v, _ in reached[t][1])
+        win.update((v, acc[bisect_left(grid, v)]) for v, _, _ in reached[t])
     total = 0.0
-    for pass_mass, pairs in reached.values():
-        for v, p in pairs:
-            total += pass_mass * p * win[v]
+    for triples in reached.values():
+        for v, p, mass in triples:
+            total += mass * p * win[v]
     return total
 
 
 def _state_dp(instance: Instance, order: Order, policy: Policy, objective: Objective) -> EvalResult:
     """The forward pass of :func:`eval_exact` over states (position, prefix max).
 
-    It builds a position's remaining set on reaching it, and pays an accepted
-    new maximum v the :func:`win_factor` of the later boxes, the last first.
-    A :class:`NewMaxRule` answers each pair from its answers per outcome and
-    its cut, as its derived ``decide`` would, and every sum runs as in the
-    pass that asks once per pair, so the value is bit-identical to it.
+    It is never given a :class:`ThresholdRule` under win probability. It
+    builds a position's remaining set on reaching it, and pays an accepted new
+    maximum v the :func:`win_factor` of the later boxes, the last first. A
+    :class:`NewMaxRule` answers each pair from its answers per outcome and its
+    cut, as its derived ``decide`` would, and every sum runs as in the pass
+    that asks once per pair, so the value is bit-identical to it.
     """
     n = instance.n
     winprob = objective.is_winprob
-    tracked = winprob or not isinstance(policy, ThresholdRule)
+    tracked = not isinstance(policy, ThresholdRule)
     split = isinstance(policy, NewMaxRule)
     seq = order.sequence
     decide = policy.decide

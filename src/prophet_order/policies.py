@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import DiscreteDistribution, Instance, Order, ValidationError, validate_instance, validate_order
 from .thresholds import (
@@ -69,12 +69,20 @@ class ThresholdRule(Policy):
     """Take a value iff it meets :meth:`threshold_at` (position, remaining set).
 
     The decision never reads ``prefix_max``, so the exact pass keeps one state
-    per position under expectation and ``monte_carlo`` keys its decisions by
-    position and value.
+    per position under expectation, reads :meth:`thresholds_along` under win
+    probability, and ``monte_carlo`` keys its decisions by position and value.
     """
 
     def threshold_at(self, position: int, remaining_boxes: frozenset[int]) -> float:
         raise NotImplementedError
+
+    def thresholds_along(self, order: Order) -> Iterable[float]:
+        """:meth:`threshold_at` at each position of ``order``, given the set after it, read lazily.
+
+        A rule whose threshold ignores the set may override this to build none.
+        """
+        seq = order.sequence
+        return (self.threshold_at(t, frozenset(seq[t:])) for t in range(1, len(seq) + 1))
 
     def decide(self, ctx: DecisionContext) -> bool:
         return ctx.current_value >= self.threshold_at(ctx.position, ctx.remaining_boxes)
@@ -354,6 +362,9 @@ class SingleThresholdPolicy(ThresholdRule):
 
     def threshold_at(self, position: int, remaining_boxes: frozenset[int]) -> float:
         return self.threshold
+
+    def thresholds_along(self, order: Order) -> list[float]:
+        return [self.threshold] * len(order.sequence)
 
 
 def _needs_order(name: str, order: Order | None) -> Order:

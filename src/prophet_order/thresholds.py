@@ -149,8 +149,8 @@ def carry_win_factors(acc: list[float], grid: Sequence[float], box: DiscreteDist
     by one factor. A box whose CDF table ends at exactly 1.0 leaves the
     points above its largest value alone, since x * 1.0 == x, and returns at
     once when that is every point. It serves callers that know every value
-    they read before they walk: ``OptMaxProbPolicy`` and the fixed-threshold
-    pass of ``evaluation``.
+    they read before they walk: ``OptMaxProbPolicy`` and the threshold-rule
+    win-probability pass of ``evaluation``.
     """
     f = box.cdf[-1]
     if f == 1.0 and box.values[-1] < grid[0]:

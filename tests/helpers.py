@@ -13,6 +13,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -28,6 +29,7 @@ from prophet_order import (
     OptMaxProbPolicy,
     Order,
     Policy,
+    ThresholdRule,
     suffix_max,
     validate_instance,
     validate_order,
@@ -60,6 +62,18 @@ class FunctionPolicy(Policy):
 
     def decide(self, ctx: DecisionContext) -> bool:
         return self._fn(ctx)
+
+
+class ListedThresholds(ThresholdRule):
+    """A threshold per position, listed first to last; NaN and infinities allowed."""
+
+    kind = "listed"
+
+    def __init__(self, thresholds):
+        self.thresholds = list(thresholds)
+
+    def threshold_at(self, position: int, remaining_boxes: frozenset[int]) -> float:
+        return self.thresholds[position - 1]
 
 
 class SteppedRule(NewMaxRule):
@@ -175,6 +189,34 @@ def per_pair_threshold_winprob(instance: Instance, order: Order, threshold: floa
         if pass_mass == 0.0:
             break
     return min(max(total, 0.0), 1.0)
+
+
+def threshold_winprob_fraction(instance: Instance, order: Order, thresholds, baseline: float) -> Fraction:
+    """Reference for the win probability of a threshold rule, exact in ``Fraction``.
+
+    The rule takes v at position t iff v >= ``thresholds[t - 1]``; a NaN
+    threshold reads as +inf, as ``decide`` takes no value at it. The value is
+    the sum over t and over v >= tau_t with v > ``baseline`` of
+    P[y_t = v] * prod_{s<t} P[y_s < min(v, tau_s)] * prod_{s>t} P[y_s < v],
+    each probability summed exactly from the box's outcome probabilities.
+    """
+    seq = order.sequence
+    taus = [math.inf if math.isnan(tau) else tau for tau in thresholds]
+    boxes = [[(v, Fraction(p)) for v, p in instance.box(b).outcomes] for b in seq]
+
+    def below(outcomes, x):
+        return sum((p for v, p in outcomes if v < x), Fraction(0))
+
+    total = Fraction(0)
+    for t, (outcomes, tau) in enumerate(zip(boxes, taus)):
+        for v, p in outcomes:
+            if v >= tau and v > baseline:
+                term = p
+                for s, other in enumerate(boxes):
+                    if s != t and term:
+                        term *= below(other, min(v, taus[s]) if s < t else v)
+                total += term
+    return total
 
 
 def draw_profile(instance: Instance, rng: random.Random) -> tuple[float, ...]:

@@ -5,8 +5,9 @@ print. ``tests/data/three_boxes.json`` is the instance of the ``evaluate``
 and ``ratio`` commands. Its support is {0, 1, 3, 6, 7}, so the baselines 3,
 4.5 and 10 sit on a support point, between two points and above the largest.
 ``ratio`` sweeps order-unaware rules only, so ``opt-maxprob`` appears under
-``evaluate`` alone. The four single-threshold specs under ``evaluate`` and
-``reproduce single-threshold`` run the fixed-threshold path of ``eval_exact``.
+``evaluate`` alone. Under win probability ``golden``, ``opt-exp`` and the
+four single-threshold specs, under ``evaluate`` and ``ratio``, and
+``reproduce single-threshold`` run the threshold-rule pass of ``eval_exact``.
 
 Each command prints through one of the CLI's output shapes, and each shape is
 pinned in both formats: a flat result (``constants``; ``evaluate`` exact, and

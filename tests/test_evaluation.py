@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from bisect import bisect_left
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,7 @@ from tests.helpers import (
     per_context_monte_carlo,
     random_instance,
     random_order,
+    threshold_winprob_fraction,
 )
 
 
@@ -375,6 +377,29 @@ class TestOracleEquivalence:
         monkeypatch.setattr(evaluation, "PROFILE_CAP", 7)
         with pytest.raises(CapExceededError):
             brute_force(inst, Order((0, 1, 2)), GoldenPolicy(inst), Objective.expectation())
+
+
+class TestThresholdPass:
+    """The win-probability pass of a ``ThresholdRule`` against exact values."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("rule", ["golden", "opt-exp"])
+    def test_is_within_1e_14_of_the_rational_value_on_many_states(self, rule, seed):
+        # The state pass, which asks decide per (prefix max, outcome), is
+        # reported beside it and held to the routes' 1e-12 only.
+        inst = many_state_instance(seed, 25)
+        order = Order.identity(inst.n)
+        pol = make_policy(rule, inst, order)
+        objective = Objective.winprob(0.0)
+        values = {
+            "pass": eval_exact(inst, order, pol, objective).value,
+            "state pass": eval_exact(inst, order, FunctionPolicy(pol.decide), objective).value,
+        }
+        rational = threshold_winprob_fraction(inst, order, pol.thresholds_along(order), 0.0)
+        errors = {route: float(abs(Fraction(x) - rational) / rational) for route, x in values.items()}
+        print(f"{rule} seed {seed}: relative error {errors}")
+        assert errors["pass"] <= 1e-14, errors
+        assert errors["state pass"] <= 1e-12, errors
 
 
 class TestSplitPass:

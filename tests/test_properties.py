@@ -39,6 +39,7 @@ from prophet_order.thresholds import (
 )
 from tests.helpers import (
     FunctionPolicy,
+    ListedThresholds,
     SteppedRule,
     TableOptMaxProbPolicy,
     assert_decides_as_the_table,
@@ -46,6 +47,7 @@ from tests.helpers import (
     per_pair_threshold_winprob,
     simulate_profile,
     suffix_max_by_lookup,
+    threshold_winprob_fraction,
     win_factor_after,
 )
 
@@ -266,6 +268,32 @@ def test_custom_shape_rules_match_brute_force_on_edge_laws(case):
 
 
 @SETTINGS
+@given(edge_cases(), st.data())
+def test_threshold_pass_matches_brute_force_and_the_rational_value_on_edge_laws(case, data):
+    # Every ThresholdRule takes one win-probability pass. Rising thresholds
+    # reach each value with the running pass mass, falling ones with a product
+    # of its own. decide takes no value at a NaN or +inf threshold and every
+    # value at -inf; P[y < NaN] reads 0, so the pass must read NaN as +inf.
+    instance, order = case
+    n = instance.n
+    probes = sorted(threshold_probes(instance))
+    rising = [probes[min(t, len(probes) - 1)] for t in range(n)]
+    drawn = data.draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf, *probes]), min_size=n, max_size=n))
+    policies = [GoldenPolicy(instance), OptExpectationPolicy(instance, order)]
+    policies += [ListedThresholds(row) for row in (rising, rising[::-1], [math.nan] + [0.0] * (n - 1), drawn)]
+    values = sorted({v for d in instance.distributions for v in d.values})
+    for baseline in (0.0, values[len(values) // 2]):
+        objective = Objective.winprob(baseline)
+        for policy in policies:
+            exact = eval_exact(instance, order, policy, objective).value
+            brute = brute_force(instance, order, policy, objective).value
+            rational = threshold_winprob_fraction(instance, order, policy.thresholds_along(order), baseline)
+            where = (policy.kind, list(policy.thresholds_along(order)), baseline)
+            assert abs(exact - brute) <= 1e-12, where
+            assert abs(Fraction(exact) - rational) <= 1e-14 * rational, where
+
+
+@SETTINGS
 @given(edge_cases(), st.sampled_from([0.0, 0.5, 1e6]), st.sampled_from([0.0, 0.5, 1e6]))
 def test_split_pass_is_bit_identical_to_the_per_pair_pass_on_edge_laws(case, rule_baseline, baseline):
     # The shipped max-prob rules are asked once per outcome and for one cut
@@ -370,8 +398,9 @@ def test_carried_win_factors_match_win_factor_bit_for_bit_on_tables_ending_near_
 
 
 def assert_threshold_winprob_is_the_per_pair_loop(instance, order, baseline):
-    """The fixed-threshold path equals one ``win_factor`` call per winnable
-    pair by ``float.hex``, at every ``threshold_probes`` threshold."""
+    """The threshold-rule pass at a constant threshold equals one
+    ``win_factor`` call per winnable pair by ``float.hex``, at every
+    ``threshold_probes`` threshold."""
     for threshold in threshold_probes(instance):
         policy = SingleThresholdPolicy(threshold)
         exact = eval_exact(instance, order, policy, Objective.winprob(baseline)).value
